@@ -173,10 +173,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(role.foreman->rounds),
                     static_cast<unsigned long long>(role.foreman->tasks_completed),
                     static_cast<unsigned long long>(role.foreman->quarantines));
-      } else if (role.monitor.has_value()) {
-        std::printf("monitor: %llu rounds, %llu completions\n",
-                    static_cast<unsigned long long>(role.monitor->rounds),
-                    static_cast<unsigned long long>(role.monitor->completions));
       } else if (role.worker.has_value()) {
         std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
                     static_cast<unsigned long long>(role.worker->tasks_evaluated),
@@ -355,11 +351,12 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", args.get("svg", "").c_str());
   }
   if (cluster != nullptr) {
-    const MonitorReport report = cluster->monitor_report();
+    cluster->shutdown();  // the foreman's final counts
+    const ForemanStats& stats = cluster->foreman_stats();
     std::printf("\nmonitor: %llu rounds, %llu tasks, %llu requeues\n",
-                static_cast<unsigned long long>(report.rounds),
-                static_cast<unsigned long long>(report.completions),
-                static_cast<unsigned long long>(report.requeues));
+                static_cast<unsigned long long>(stats.rounds),
+                static_cast<unsigned long long>(stats.tasks_completed),
+                static_cast<unsigned long long>(stats.requeues));
   }
   if (socket_cluster != nullptr) {
     socket_cluster->shutdown();  // drain the peers before reading stats
@@ -372,7 +369,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fabric.frames_dropped));
   }
   if (!trace_out.empty()) {
-    if (cluster != nullptr) cluster->shutdown();  // stable final spans
     obs::Tracer::instance().disable();
     const obs::TraceLog log = obs::Tracer::instance().drain();
     std::ofstream out(trace_out);

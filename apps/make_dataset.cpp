@@ -3,8 +3,8 @@
 // redistributable, so simulated data of identical dimensions stands in).
 //
 //   make_dataset --taxa=50 --sites=1858 --seed=1 --out=data/t50.phy
-//   make_dataset --taxa=150 --sites=1269 --fasta --out=data/t150.fa \
-//                --truth=data/t150_true.nwk
+//   make_dataset --taxa=150 --sites=1269 --fasta --out=data/t150.fa
+//   (add --truth=data/t150_true.nwk to also write the generating tree)
 #include <cstdio>
 #include <fstream>
 

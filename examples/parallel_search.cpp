@@ -19,9 +19,10 @@
 //   # 3..=workers); scripts/launch_cluster.sh spawns all of them.
 //   ./parallel_search --transport=socket --rank=N --port=P --fabric-size=6
 //
-// Prints the result plus the monitor's instrumentation: per-worker task
-// counts, round count, and the barrier slack that limits scalability (the
-// paper's "loosely synchronized" comparison barriers).
+// Prints the result plus the monitor report, read from the foreman's final
+// counts and metrics registry: per-worker task counts, round count, and the
+// barrier slack that limits scalability (the paper's "loosely synchronized"
+// comparison barriers).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -136,11 +137,6 @@ int run_socket_peer(const CliArgs& args, const PatternAlignment& data,
                 static_cast<unsigned long long>(role.foreman->tasks_completed),
                 static_cast<unsigned long long>(role.foreman->requeues),
                 static_cast<unsigned long long>(role.foreman->quarantines));
-  } else if (role.monitor.has_value()) {
-    std::printf("monitor: %llu rounds, %llu completions, %.2fs worker CPU\n",
-                static_cast<unsigned long long>(role.monitor->rounds),
-                static_cast<unsigned long long>(role.monitor->completions),
-                role.monitor->total_worker_cpu_seconds);
   } else if (role.worker.has_value()) {
     std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
                 static_cast<unsigned long long>(role.worker->tasks_evaluated),
@@ -302,25 +298,29 @@ int main(int argc, char** argv) {
   std::printf("\nBest ln L = %.4f after %zu candidate trees in %.2fs wall\n",
               result.best_log_likelihood, result.trees_evaluated, wall);
 
-  const MonitorReport report = cluster.monitor_report();
+  const ForemanStats& stats = cluster.foreman_stats();
+  double worker_cpu = 0.0;
+  for (const WorkerKernelReport& worker : stats.worker_reports) {
+    worker_cpu += worker.cpu_seconds;
+  }
+  const obs::HistogramSnapshot slack =
+      cluster.metrics_snapshot().histogram("foreman.round_slack_s");
   std::printf("\nMonitor report\n");
   std::printf("  rounds (barriers):      %llu\n",
-              static_cast<unsigned long long>(report.rounds));
+              static_cast<unsigned long long>(stats.rounds));
   std::printf("  tasks completed:        %llu\n",
-              static_cast<unsigned long long>(report.completions));
-  std::printf("  worker CPU total:       %.2fs\n", report.total_worker_cpu_seconds);
+              static_cast<unsigned long long>(stats.tasks_completed));
+  std::printf("  worker CPU total:       %.2fs\n", worker_cpu);
   std::printf("  requeues / delinquent:  %llu / %llu\n",
-              static_cast<unsigned long long>(report.requeues),
-              static_cast<unsigned long long>(report.delinquencies));
-  double slack = 0.0;
-  for (double s : report.round_slack_seconds) slack += s;
-  if (!report.round_slack_seconds.empty()) {
-    slack /= static_cast<double>(report.round_slack_seconds.size());
-  }
-  std::printf("  mean barrier slack:     %.4fs\n", slack);
+              static_cast<unsigned long long>(stats.requeues),
+              static_cast<unsigned long long>(stats.delinquencies));
+  std::printf("  mean barrier slack:     %.4fs\n",
+              slack.count > 0 ? slack.sum / static_cast<double>(slack.count)
+                              : 0.0);
   std::printf("  tasks per worker:      ");
-  for (const auto& [worker, count] : report.tasks_per_worker) {
-    std::printf(" w%d:%llu", worker, static_cast<unsigned long long>(count));
+  for (const WorkerKernelReport& worker : stats.worker_reports) {
+    std::printf(" w%d:%llu", worker.worker,
+                static_cast<unsigned long long>(worker.tasks_evaluated));
   }
   std::printf("\n  fabric traffic:         %llu messages, %llu bytes\n",
               static_cast<unsigned long long>(cluster.fabric_messages()),

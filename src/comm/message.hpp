@@ -18,7 +18,7 @@ enum class MessageTag : std::uint8_t {
   kResult = 3,       ///< worker -> foreman: optimized tree + lnL
   kRound = 4,        ///< master -> foreman: a round of tasks
   kRoundDone = 5,    ///< foreman -> master: best tree + per-task stats
-  kMonitorEvent = 6, ///< foreman -> monitor: instrumentation record
+  // 6 is retired (it tagged foreman -> monitor events); do not reuse it.
   kShutdown = 7,     ///< master -> everyone: terminate cleanly
   kProgress = 8,     ///< foreman -> master: round liveness heartbeat
   kRoundFailed = 9,  ///< foreman -> master: round cannot complete

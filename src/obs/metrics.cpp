@@ -30,6 +30,13 @@ std::int64_t MetricsSnapshot::gauge(std::string_view name) const {
   return it == gauges.end() ? 0 : it->second;
 }
 
+HistogramSnapshot MetricsSnapshot::histogram(std::string_view name) const {
+  for (const HistogramSnapshot& h : histograms) {
+    if (h.name == name) return h;
+  }
+  return {};
+}
+
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream out;
   out << "[\n";

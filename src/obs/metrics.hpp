@@ -90,6 +90,8 @@ struct MetricsSnapshot {
   /// Counter value by name; 0 when the counter was never registered.
   std::uint64_t counter(std::string_view name) const;
   std::int64_t gauge(std::string_view name) const;
+  /// Histogram by name; an empty one when it was never registered.
+  HistogramSnapshot histogram(std::string_view name) const;
 
   /// One-object-per-line JSON (same dialect as BENCH_kernels.json).
   std::string to_json() const;

@@ -52,7 +52,7 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
   // Monitor thread.
   threads_.emplace_back([this] {
     auto endpoint = fabric_.endpoint(kMonitorRank);
-    monitor_main(*endpoint, board_);
+    monitor_main(*endpoint);
   });
   // Worker threads.
   for (int w = 0; w < options_.num_workers; ++w) {

@@ -68,9 +68,9 @@ class InProcessCluster {
 
   int num_workers() const { return options_.num_workers; }
 
-  /// Live instrumentation (thread-safe snapshot).
-  MonitorReport monitor_report() const { return board_.snapshot(); }
-  /// Foreman counters; valid after shutdown().
+  /// Foreman counters; valid after shutdown(). Per-round barrier slack and
+  /// duration are the `foreman.round_slack_s` / `foreman.round_s`
+  /// histograms in metrics().
   const ForemanStats& foreman_stats() const { return foreman_stats_; }
   /// Master-side counters (watchdog trips, failed rounds, fallbacks).
   MasterStats master_stats() const { return master_->stats(); }
@@ -114,7 +114,6 @@ class InProcessCluster {
   /// holds counter references into it).
   obs::MetricsRegistry metrics_;
   ThreadFabric fabric_;
-  MonitorBoard board_;
   ForemanStats foreman_stats_;
   std::shared_ptr<ChaosTotals> chaos_totals_;
   std::unique_ptr<Transport> master_endpoint_;

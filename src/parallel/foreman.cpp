@@ -14,7 +14,6 @@
 #include "parallel/protocol.hpp"
 #include "search/runner.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace fdml {
 
@@ -25,6 +24,15 @@ using Clock = std::chrono::steady_clock;
 /// TaskResult::worker value marking a result completed from the journal
 /// rather than evaluated by a live worker this incarnation.
 constexpr int kJournalWorker = -1;
+
+/// Bucket bounds (seconds) of the per-round histograms.
+std::vector<double> round_seconds_bounds() {
+  return {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0};
+}
+
+double to_seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
 
 /// Registry-backed counters replacing the old parallel ForemanStats
 /// bookkeeping. ForemanStats is now a *view*: the delta of these counters
@@ -59,6 +67,10 @@ struct ForemanCounters {
   obs::Counter& kernel_edge_evaluations;
   obs::Counter& kernel_transition_hits;
   obs::Counter& kernel_transition_misses;
+  /// Per round: barrier slack, i.e. first to last task completion (the
+  /// paper's "loosely synchronized" barriers), and wall time at the foreman.
+  obs::Histogram& round_slack_s;
+  obs::Histogram& round_s;
 
   explicit ForemanCounters(obs::MetricsRegistry& r)
       : rounds(r.counter("foreman.rounds")),
@@ -86,7 +98,10 @@ struct ForemanCounters {
         kernel_clv_computations(r.counter("kernel.clv_computations")),
         kernel_edge_evaluations(r.counter("kernel.edge_evaluations")),
         kernel_transition_hits(r.counter("kernel.transition_hits")),
-        kernel_transition_misses(r.counter("kernel.transition_misses")) {}
+        kernel_transition_misses(r.counter("kernel.transition_misses")),
+        round_slack_s(
+            r.histogram("foreman.round_slack_s", round_seconds_bounds())),
+        round_s(r.histogram("foreman.round_s", round_seconds_bounds())) {}
 
   ForemanStats read() const {
     ForemanStats s;
@@ -399,7 +414,6 @@ class Foreman {
     if (still_needed) {
       work_queue_.push_front(task);
       counters_.requeues.add();
-      notify(MonitorEventKind::kRequeue, task.task_id, worker);
       obs::instant("foreman", "requeue", "task",
                    static_cast<std::int64_t>(task.task_id), "worker", worker);
       trace_queue_depth();
@@ -428,10 +442,8 @@ class Foreman {
       counters_.delinquencies.add();
       if (was_probe) {
         counters_.probation_failures.add();
-        notify(MonitorEventKind::kProbeFail, 0, worker);
         obs::instant("foreman", "probe_fail", "worker", worker);
       }
-      notify(MonitorEventKind::kDelinquent, 0, worker);
       obs::instant("foreman", "delinquent", "worker", worker, "strikes",
                    h.strikes);
     }
@@ -439,9 +451,8 @@ class Foreman {
 
   /// Moves a worker into the probation queue: it will receive one probe
   /// task after its exponential backoff, and rejoins the ready queue only
-  /// when the probe completes within its deadline. `task_id` labels the
-  /// monitor event (the monitor treats task 0 as an initial hello).
-  void enter_probation(int worker, bool quarantine, std::uint64_t task_id) {
+  /// when the probe completes within its deadline.
+  void enter_probation(int worker, bool quarantine) {
     WorkerHealth& h = health(worker);
     h.state = WorkerState::kProbation;
     h.awaiting_contact = false;  // entered via an actual message
@@ -453,9 +464,7 @@ class Foreman {
     } else {
       // The paper's reinstatement path: a delinquent worker finally replied.
       counters_.reinstatements.add();
-      notify(MonitorEventKind::kReinstate, task_id, worker);
     }
-    notify(MonitorEventKind::kProbation, task_id, worker);
     obs::instant("foreman", quarantine ? "quarantine" : "probation", "worker",
                  worker, "strikes", h.strikes);
   }
@@ -463,7 +472,6 @@ class Foreman {
   /// Malformed payload: count, quarantine a worker sender, never die.
   void handle_corrupt(int sender) {
     counters_.corrupt_messages.add();
-    notify(MonitorEventKind::kCorrupt, 0, sender);
     obs::instant("foreman", "corrupt", "worker", sender);
     FDML_WARN("foreman") << "malformed payload from rank " << sender;
     if (sender < kFirstWorkerRank) return;  // master/monitor: count only
@@ -472,17 +480,16 @@ class Foreman {
     }
     ready_.erase(std::remove(ready_.begin(), ready_.end(), sender), ready_.end());
     ++health(sender).strikes;
-    enter_probation(sender, /*quarantine=*/true, 0);
+    enter_probation(sender, /*quarantine=*/true);
     dispatch_work();
   }
 
   void handle_hello(int worker) {
     WorkerHealth& h = health(worker);
     if (h.state == WorkerState::kSuspect) {
-      enter_probation(worker, /*quarantine=*/false, 0);
+      enter_probation(worker, /*quarantine=*/false);
     } else if (h.state == WorkerState::kHealthy) {
       mark_ready(worker);
-      notify(MonitorEventKind::kReinstate, 0, worker);
     }
     dispatch_work();
   }
@@ -524,13 +531,11 @@ class Foreman {
         h.eligible_at = Clock::now() + backoff_for(h.strikes);
         h.awaiting_contact = true;
         counters_.probations.add();
-        notify(MonitorEventKind::kProbation, 0, worker);
         obs::instant("foreman", "probation", "worker", worker, "strikes",
                      h.strikes);
       }
     }
     counters_.rounds.add();
-    notify(MonitorEventKind::kRoundBegin, 0, -1);
     begin_round_span(round_.round_id, static_cast<std::int64_t>(round_.expected));
     std::vector<std::uint64_t> digests;
     digests.reserve(message.tasks.size());
@@ -585,7 +590,6 @@ class Foreman {
     Packer packer;
     task.pack(packer);
     send_sealed(worker, MessageTag::kTask, packer.take());
-    notify(MonitorEventKind::kDispatch, task.task_id, worker);
     counters_.tasks_dispatched.add();
     // Flow-begin on the foreman side of the dispatch->execute->result arc;
     // the worker's execute span adds the step and accept() closes it.
@@ -612,7 +616,6 @@ class Foreman {
       if (in_flight_.count(worker) != 0) continue;
       if (now < h.eligible_at) continue;
       counters_.probation_probes.add();
-      notify(MonitorEventKind::kProbation, work_queue_.front().task_id, worker);
       dispatch_to(worker, /*probe=*/true);
     }
   }
@@ -634,13 +637,12 @@ class Foreman {
   /// worker in rotation — the corruption happened in transit, not in it.
   void handle_nack(int worker) {
     counters_.task_nacks.add();
-    notify(MonitorEventKind::kNack, 0, worker);
     obs::instant("foreman", "nack", "worker", worker);
     if (auto it = in_flight_.find(worker); it != in_flight_.end()) {
       requeue_record(it, "rejected a malformed task");
     }
     if (health(worker).state == WorkerState::kSuspect) {
-      enter_probation(worker, /*quarantine=*/false, 0);
+      enter_probation(worker, /*quarantine=*/false);
     } else {
       mark_ready(worker);
     }
@@ -672,7 +674,6 @@ class Foreman {
       // the contact actually happened.
       h.awaiting_contact = false;
       counters_.reinstatements.add();
-      notify(MonitorEventKind::kReinstate, result.task_id, worker);
       obs::instant("foreman", "reinstate", "worker", worker);
     }
     const auto flight = in_flight_.find(worker);
@@ -685,7 +686,6 @@ class Foreman {
           h.state = WorkerState::kHealthy;
           h.strikes = 0;
           counters_.probation_passes.add();
-          notify(MonitorEventKind::kProbePass, result.task_id, worker);
           obs::instant("foreman", "probe_pass", "worker", worker);
         } else {
           h.strikes = 0;
@@ -706,7 +706,7 @@ class Foreman {
     } else if (h.state == WorkerState::kSuspect) {
       // A delinquent worker finally replied: probation, not unconditional
       // reinstatement. Its result may still complete the task below.
-      enter_probation(worker, /*quarantine=*/false, result.task_id);
+      enter_probation(worker, /*quarantine=*/false);
     } else if (h.state == WorkerState::kHealthy) {
       mark_ready(worker);
     }
@@ -761,9 +761,10 @@ class Foreman {
     stat.worker = result.worker;
     round_.stats.push_back(stat);
     counters_.tasks_completed.add();
+    const auto now = Clock::now();
+    if (!first_completion_at_.has_value()) first_completion_at_ = now;
+    last_completion_at_ = now;
     trace_queue_depth();
-    notify(MonitorEventKind::kComplete, result.task_id, result.worker,
-           result.cpu_seconds);
 
     // Write-ahead: the completion is durably journaled before it can decide
     // the round, so a crash after this point never loses it. Replayed
@@ -812,7 +813,6 @@ class Foreman {
       done.best = round_.best;
       done.stats = std::move(round_.stats);
       send_sealed(kMasterRank, MessageTag::kRoundDone, done.pack());
-      notify(MonitorEventKind::kRoundEnd, 0, -1);
       end_round_span(static_cast<std::int64_t>(round_.completed.size()));
       round_active_ = false;
     }
@@ -850,7 +850,6 @@ class Foreman {
     failed.reason = "all workers delinquent";
     send_sealed(kMasterRank, MessageTag::kRoundFailed, failed.pack());
     counters_.rounds_failed.add();
-    notify(MonitorEventKind::kRoundFailed, 0, -1);
     obs::instant("foreman", "round_failed", "round",
                  static_cast<std::int64_t>(round_.round_id));
     end_round_span(static_cast<std::int64_t>(round_.completed.size()));
@@ -863,7 +862,7 @@ class Foreman {
     for (int rank = kFirstWorkerRank; rank < transport_.size(); ++rank) {
       transport_.send(rank, MessageTag::kShutdown, {});
     }
-    if (options_.notify_monitor && transport_.size() > kMonitorRank) {
+    if (transport_.size() > kMonitorRank) {
       transport_.send(kMonitorRank, MessageTag::kShutdown, {});
     }
   }
@@ -952,6 +951,8 @@ class Foreman {
   void begin_round_span(std::uint64_t round_id, std::int64_t expected) {
     if (round_span_open_) end_round_span(0);  // keep B/E balanced
     round_span_open_ = true;
+    round_began_at_ = Clock::now();
+    first_completion_at_.reset();
     obs::TraceEvent e;
     e.cat = "foreman";
     e.name = "round";
@@ -963,8 +964,15 @@ class Foreman {
     obs::emit(e);
   }
 
+  /// Closes the round span and records the round's duration and barrier
+  /// slack, whether or not tracing is on.
   void end_round_span(std::int64_t completed) {
     round_span_open_ = false;
+    counters_.round_s.observe(to_seconds(Clock::now() - round_began_at_));
+    if (first_completion_at_.has_value()) {
+      counters_.round_slack_s.observe(
+          to_seconds(last_completion_at_ - *first_completion_at_));
+    }
     obs::TraceEvent e;
     e.cat = "foreman";
     e.name = "round";
@@ -978,19 +986,6 @@ class Foreman {
     obs::counter("queue_depth", static_cast<std::int64_t>(work_queue_.size()));
   }
 
-  void notify(MonitorEventKind kind, std::uint64_t task_id, int worker,
-              double cpu_seconds = 0.0) {
-    if (!options_.notify_monitor || transport_.size() <= kMonitorRank) return;
-    MonitorEvent event;
-    event.kind = kind;
-    event.round_id = round_.round_id;
-    event.task_id = task_id;
-    event.worker = worker;
-    event.at_seconds = uptime_.seconds();
-    event.cpu_seconds = cpu_seconds;
-    send_sealed(kMonitorRank, MessageTag::kMonitorEvent, event.pack());
-  }
-
   Transport& transport_;
   ForemanOptions options_;
   obs::MetricsRegistry& registry_;
@@ -999,7 +994,10 @@ class Foreman {
   ForemanStats start_;
   std::map<int, WorkerKernelReport> worker_accum_;
   bool round_span_open_ = false;
-  Timer uptime_;
+  /// Timing of the open round, for the round_s / round_slack_s histograms.
+  Clock::time_point round_began_at_{};
+  std::optional<Clock::time_point> first_completion_at_;
+  Clock::time_point last_completion_at_{};
   std::optional<TaskJournal> journal_;
 
   std::deque<TreeTask> work_queue_;

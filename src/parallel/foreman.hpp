@@ -57,8 +57,6 @@ struct ForemanOptions {
   /// forever. Workers beyond the limit stay suspect so a genuinely dead
   /// fabric fails rounds fast instead of re-probing corpses each round.
   int amnesty_max_strikes = 3;
-  /// Emit instrumentation events to the monitor rank.
-  bool notify_monitor = true;
   /// When non-empty, append every completed task to this durable journal
   /// (write-ahead log). A foreman revived after a crash replays it and
   /// skips the insertions the dead incarnation already finished.
@@ -155,7 +153,9 @@ struct ForemanStats {
 };
 
 /// Runs the foreman loop until a shutdown message arrives (which is
-/// forwarded to every worker and the monitor). Returns the final counters.
+/// forwarded to every worker and the monitor rank). Returns the final
+/// counters. Every closed round is also observed into the registry's
+/// `foreman.round_s` and `foreman.round_slack_s` histograms (seconds).
 ForemanStats foreman_main(Transport& transport, const ForemanOptions& options);
 
 }  // namespace fdml

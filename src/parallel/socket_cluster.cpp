@@ -31,9 +31,7 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
     foreman.telemetry_interval = options.telemetry_interval;
     result.foreman = foreman_main(*endpoint, foreman);
   } else if (rank == kMonitorRank) {
-    MonitorBoard board;
-    monitor_main(*endpoint, board);
-    result.monitor = board.snapshot();
+    monitor_main(*endpoint);
   } else {
     WorkerRunOptions worker;
     worker.optimize = options.optimize;

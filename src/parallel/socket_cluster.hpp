@@ -40,11 +40,11 @@ struct SocketRunOptions {
 
 /// What a non-master rank's role loop produced (only the member matching
 /// the rank is meaningful; the app prints it as the process's exit summary).
+/// The monitor rank produces nothing.
 struct SocketRoleResult {
   int rank = -1;
   std::optional<ForemanStats> foreman;
   std::optional<WorkerStats> worker;
-  std::optional<MonitorReport> monitor;
 };
 
 /// Runs the role loop for options.socket.rank (>= 1) over its own

@@ -6,8 +6,8 @@
 //
 // Matching the paper's protocol, a round returns only the *best* tree (the
 // foreman compares likelihood values; the master never re-evaluates
-// returned trees) plus per-task accounting used by the monitor and the
-// scaling-trace recorder.
+// returned trees) plus per-task accounting used by the foreman's reports
+// and the scaling-trace recorder.
 #pragma once
 
 #include <cstdint>

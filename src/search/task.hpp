@@ -40,7 +40,7 @@ struct TaskResult {
   /// Worker thread-CPU seconds spent optimizing (drives the scaling-trace
   /// replays).
   double cpu_seconds = 0.0;
-  /// Rank/id of the worker that produced this result (monitor bookkeeping).
+  /// Rank/id of the worker that produced this result (per-worker accounting).
   int worker = -1;
 
   /// Kernel work this task cost (engine counter deltas, see KernelCounters):

@@ -1,5 +1,5 @@
-// Wall-clock and CPU timers used by the monitor instrumentation and the
-// trace recorder.
+// Wall-clock and CPU timers used by the task instrumentation and the trace
+// recorder.
 #pragma once
 
 #include <chrono>

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "comm/chaos.hpp"
-#include "comm/fault.hpp"
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
@@ -138,23 +137,6 @@ TEST(Chaos, DelayedSendDoesNotBlockTheSender) {
   EXPECT_EQ(message->tag, MessageTag::kResult);
 }
 
-// Satellite regression: FaultyTransport's injected delay used to sleep in
-// the caller's thread, freezing the sender instead of the network.
-TEST(Chaos, FaultyTransportDelayIsDeferredToo) {
-  ThreadFabric fabric(4);
-  auto receiver = fabric.endpoint(kForemanRank);
-  FaultyTransport faulty(
-      fabric.endpoint(3), nullptr,
-      [](const Message&) { return milliseconds(80); });
-
-  const auto before = std::chrono::steady_clock::now();
-  faulty.send(kForemanRank, MessageTag::kResult, {1, 2, 3});
-  EXPECT_LT(std::chrono::steady_clock::now() - before, milliseconds(40));
-  const auto message = receiver->recv_for(milliseconds(2000));
-  ASSERT_TRUE(message.has_value());
-  EXPECT_EQ(message->payload, (std::vector<std::uint8_t>{1, 2, 3}));
-}
-
 TEST(Chaos, CrashAfterSendsSilencesTheHost) {
   ThreadFabric fabric(4);
   auto receiver = fabric.endpoint(kForemanRank);
@@ -256,7 +238,6 @@ TEST(ForemanChaos, CorruptResultIsCountedAndSenderQuarantined) {
   ForemanOptions options;
   options.worker_timeout = milliseconds(3000);
   options.probation_backoff = milliseconds(20);
-  options.notify_monitor = false;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
@@ -301,7 +282,6 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
   ForemanOptions options;
   options.worker_timeout = milliseconds(150);
   options.probation_backoff = milliseconds(20);
-  options.notify_monitor = false;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
@@ -352,7 +332,6 @@ TEST(ForemanChaos, NackRequeuesTaskImmediately) {
   ThreadFabric fabric(4);
   ForemanOptions options;
   options.worker_timeout = milliseconds(5000);  // a timeout would dominate the test
-  options.notify_monitor = false;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });
@@ -384,7 +363,6 @@ TEST(ForemanChaos, AllWorkersDeadFailsTheRound) {
   ThreadFabric fabric(4);
   ForemanOptions options;
   options.worker_timeout = milliseconds(100);
-  options.notify_monitor = false;
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
   ForemanStats stats;
   std::thread foreman([&] { stats = foreman_main(*foreman_endpoint, options); });

@@ -5,17 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/chaos.hpp"
 #include "model/simulate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
-#include "parallel/monitor.hpp"
+#include "parallel/protocol.hpp"
 #include "search/search.hpp"
 #include "simcluster/simulator.hpp"
 #include "tree/random.hpp"
@@ -347,25 +349,50 @@ TEST(Obs, WorkerKernelReportsReachForeman) {
   EXPECT_EQ(snap.counter("foreman.tasks_completed"), stats.tasks_completed);
 }
 
-TEST(Obs, MonitorEventsBecomeTraceInstants) {
-  TracerGuard guard;
-  obs::set_thread_name("monitor-test");
-  MonitorEvent event;
-  event.kind = MonitorEventKind::kDelinquent;
-  event.worker = 5;
-  event.task_id = 17;
-  trace_monitor_event(event);
+// Worker health transitions are recorded in a trace only as foreman
+// instants. The seeded plan delays worker 3's first result (its send 2,
+// after the hello) past the timeout and delivers its next one on time: the
+// foreman requeues the task and marks the worker delinquent, the late reply
+// puts it on probation, and the probe it is sent next comes back in time.
+TEST(Obs, HealthTransitionsBecomeForemanTraceInstants) {
+  TracerGuard guard(1 << 16);
+  ObsFixture fx(16, 600);
+  ClusterOptions cluster_options;
+  cluster_options.num_workers = 2;
+  cluster_options.foreman.worker_timeout = std::chrono::milliseconds(50);
+  cluster_options.foreman.probation_backoff = std::chrono::milliseconds(5);
+  const FaultPlan plan = FaultPlan::parse(
+      "chaos-plan v1 seed=1 delay=0.5 delay_min_ms=150 delay_max_ms=150");
+  cluster_options.wrap_worker_transport =
+      [plan](int rank, std::unique_ptr<Transport> inner)
+      -> std::unique_ptr<Transport> {
+    if (rank != kFirstWorkerRank) return inner;
+    return std::make_unique<ChaosTransport>(std::move(inner), plan);
+  };
+  InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
+                           cluster_options);
+  SearchOptions options;
+  options.seed = 5;
+  StepwiseSearch(fx.data, options).run(cluster.runner());
+  cluster.shutdown();
+  obs::Tracer::instance().disable();
   const obs::TraceLog log = obs::Tracer::instance().drain();
-  bool found = false;
+  ASSERT_EQ(log.dropped_events, 0u);
+
+  std::map<std::string, std::uint64_t> instants;
   for (const obs::LogEvent& e : log.events) {
-    if (e.cat == "monitor" && e.name == "delinquent") {
-      found = true;
-      EXPECT_EQ(e.arg0_name, "worker");
-      EXPECT_EQ(e.arg0, 5);
-      EXPECT_EQ(e.arg1, 17);
-    }
+    if (e.cat == "foreman" && e.ph == obs::Phase::kInstant) ++instants[e.name];
   }
-  EXPECT_TRUE(found);
+  const ForemanStats& stats = cluster.foreman_stats();
+  EXPECT_GE(instants["delinquent"], 1u);
+  EXPECT_GE(instants["requeue"], 1u);
+  EXPECT_GE(instants["probation"], 1u);
+  EXPECT_GE(instants["probe_pass"], 1u);
+  // One instant per transition the foreman counted.
+  EXPECT_EQ(instants["delinquent"], stats.delinquencies);
+  EXPECT_EQ(instants["requeue"], stats.requeues);
+  EXPECT_EQ(instants["probation"], stats.probations - stats.quarantines);
+  EXPECT_EQ(instants["probe_pass"], stats.probation_passes);
 }
 
 // --- simulator trace emission ---

@@ -16,6 +16,7 @@
 
 #include "comm/chaos_proxy.hpp"
 #include "model/simulate.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/socket_cluster.hpp"
 #include "search/search.hpp"
 #include "service/admission.hpp"
@@ -425,6 +426,21 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
   options.master.watchdog_timeout = std::chrono::milliseconds(8000);
   options.foreman.worker_timeout = std::chrono::milliseconds(600);
   options.foreman.heartbeat_interval = std::chrono::milliseconds(150);
+  // The foreman's own registry, so the test can see its delinquency count.
+  obs::MetricsRegistry foreman_metrics;
+  options.foreman.metrics = &foreman_metrics;
+  const auto delinquencies = [&] {
+    return foreman_metrics.counter("foreman.delinquencies").value();
+  };
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+  };
 
   SocketCluster cluster(data, model, rates, options);
 
@@ -470,10 +486,18 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
     });
   });
 
-  // Kill worker 4 mid-search, then restart it with the same rank.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Kill worker 4 once its link has carried tasks and results (only worker
+  // 4 dials through the proxy), so the foreman knows it as a busy worker,
+  // then restart it with the same rank. The restart waits until the foreman
+  // has marked the dead worker delinquent: its in-flight task timed out, or
+  // the next task sent to the dead route did. A replacement that rejoined
+  // before that would take the next task, and the foreman would never learn
+  // that the worker had died.
+  EXPECT_TRUE(wait_until([&] { return proxy.stats().chunks >= 40; }));
+  const std::uint64_t delinquent_before = delinquencies();
   proxy.sever_all();
   victim.join();
+  EXPECT_TRUE(wait_until([&] { return delinquencies() > delinquent_before; }));
   std::thread replacement([&] {
     SocketRunOptions role_options = options;
     role_options.socket.rank = 4;  // same rank, fresh connection to the hub

@@ -567,7 +567,6 @@ TEST(Integrity, SealTableMatchesSenderBehaviour) {
   EXPECT_TRUE(tag_is_sealed(MessageTag::kResult));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRound));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundDone));
-  EXPECT_TRUE(tag_is_sealed(MessageTag::kMonitorEvent));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kProgress));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kRoundFailed));
   EXPECT_TRUE(tag_is_sealed(MessageTag::kGoodbye));
@@ -697,17 +696,6 @@ TEST(CorruptWire, WorkerReportMessageCorpus) {
   message.cpu_seconds = 2.5;
   run_corrupt_corpus(message.pack(), [](const std::vector<std::uint8_t>& b) {
     (void)WorkerReportMessage::unpack(b);
-  });
-}
-
-TEST(CorruptWire, MonitorEventCorpus) {
-  MonitorEvent event;
-  event.kind = MonitorEventKind::kComplete;
-  event.round_id = 4;
-  event.task_id = 17;
-  event.worker = 3;
-  run_corrupt_corpus(event.pack(), [](const std::vector<std::uint8_t>& b) {
-    (void)MonitorEvent::unpack(b);
   });
 }
 
