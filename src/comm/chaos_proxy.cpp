@@ -263,14 +263,12 @@ void ChaosProxy::sever(Conn& conn) {
 }
 
 void ChaosProxy::sever_all() {
-  std::vector<Conn*> live;
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (auto& conn : conns_) {
-      if (!conn->severed.load(std::memory_order_acquire)) live.push_back(conn.get());
-    }
-  }
-  for (Conn* conn : live) {
+  // Severs under the lock: a pump may sever its own connection at any
+  // moment, and reap_finished() frees severed connections, so a Conn* is
+  // only safe to touch while conns_ still owns it.
+  std::lock_guard lock(conns_mutex_);
+  for (auto& conn : conns_) {
+    if (conn->severed.load(std::memory_order_acquire)) continue;
     severed_.fetch_add(1, std::memory_order_relaxed);
     global_counter("chaosproxy.severed").add();
     sever(*conn);

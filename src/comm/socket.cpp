@@ -173,6 +173,11 @@ void SocketFabric::send_message(int dest, MessageTag tag,
 }
 
 void SocketFabric::start_writer(Peer& peer) {
+  // The hub starts writers from connection threads while close() may be
+  // collecting them; conn_mutex_ orders the two, and a writer that would
+  // start after close() took the writers is never started at all.
+  std::lock_guard lock(conn_mutex_);
+  if (closing_.load(std::memory_order_acquire)) return;
   peer.writer = std::thread([this, &peer] { writer_loop(peer); });
 }
 
@@ -747,7 +752,13 @@ void SocketFabric::close() {
     if (peer) peer->outbound.close();
   }
   for (auto& peer : peers_) {
-    if (peer && peer->writer.joinable()) peer->writer.join();
+    if (!peer) continue;
+    std::thread writer;
+    {
+      std::lock_guard lock(conn_mutex_);
+      writer = std::move(peer->writer);
+    }
+    if (writer.joinable()) writer.join();
   }
 
   if (options_.rank == 0) {

@@ -387,52 +387,76 @@ EdgeLikelihood LikelihoodEngine::edge_likelihood(int u, int v) {
 
 double EdgeLikelihood::evaluate(double t, double* d1, double* d2) const {
   const auto kernel_start = KernelClock::now();
-  const std::size_t num_categories = rates_->num_categories();
   const bool derivs = d1 != nullptr || d2 != nullptr;
+  contract(t, derivs);
+  const double lnl = log_sum();
+  if (derivs) {
+    const EdgeDerivatives d = derivative_sum();
+    if (d1 != nullptr) *d1 = d.d1;
+    if (d2 != nullptr) *d2 = d.d2;
+  }
+  counters_->kernel_ns += elapsed_ns(kernel_start);
+  return lnl;
+}
+
+EdgeDerivatives EdgeLikelihood::derivatives(double t) const {
+  const auto kernel_start = KernelClock::now();
+  contract(t, /*derivs=*/true);
+  const EdgeDerivatives d = derivative_sum();
+  counters_->kernel_ns += elapsed_ns(kernel_start);
+  return d;
+}
+
+void EdgeLikelihood::contract(double t, bool derivs) const {
+  const std::size_t num_categories = rates_->num_categories();
   const std::size_t padded = ws_->padded;
 
-  // All scratch lives in the engine-owned workspace; no allocations here.
-  double* site = ws_->site;
-  double* site_d1 = ws_->site_d1;
-  double* site_d2 = ws_->site_d2;
-
   // exp(lambda_k r_c t) is computed once per category (cache-served); the
-  // per-pattern loop below is exp-free — a pure 4-coefficient dot.
+  // per-pattern kernel is exp-free — a pure 4-coefficient dot into the
+  // engine-owned site planes, so nothing here allocates.
   for (std::size_t cat = 0; cat < num_categories; ++cat) {
     const double rate = rates_->rate(cat);
     const Vec4 e = cache_->exp_eigen(*model_, t * rate);
     ws_->kernels->edge_evaluate(padded, ws_->coeff + cat * 4 * padded,
                                 e.data(), ws_->lam + cat * 4,
-                                /*accumulate=*/cat != 0, derivs, site, site_d1,
-                                site_d2);
+                                /*accumulate=*/cat != 0, derivs, ws_->site,
+                                ws_->site_d1, ws_->site_d2);
   }
-
-  double lnl = scale_offset_;
-  double g = 0.0;
-  double h = 0.0;
-  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
-    const double weight = pattern_weights_[pat];
-    const double s = site[pat];
-    if (s <= 0.0) {
-      // A zero-probability pattern (should not happen with valid data).
-      lnl += weight * kZeroPatternLogPenalty;
-      continue;
-    }
-    lnl += weight * std::log(s);
-    if (derivs) {
-      const double ratio1 = site_d1[pat] / s;
-      g += weight * ratio1;
-      h += weight * (site_d2[pat] / s - ratio1 * ratio1);
-    }
-  }
-  if (d1 != nullptr) *d1 = g;
-  if (d2 != nullptr) *d2 = h;
 
   ++counters_->edge_evaluations;
   counters_->scratch_bytes_reused +=
       (derivs ? 3u : 1u) * num_patterns_ * sizeof(double);
-  counters_->kernel_ns += elapsed_ns(kernel_start);
+}
+
+double EdgeLikelihood::log_sum() const {
+  const double* site = ws_->site;
+  double lnl = scale_offset_;
+  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
+    const double s = site[pat];
+    // A zero-probability pattern (should not happen with valid data).
+    lnl += pattern_weights_[pat] *
+           (s <= 0.0 ? kZeroPatternLogPenalty : std::log(s));
+  }
   return lnl;
+}
+
+EdgeDerivatives EdgeLikelihood::derivative_sum() const {
+  // Pattern order, one division pair per pattern: the exact tier promises
+  // the same bits on every SIMD backend, so this sum is not reassociated
+  // (and therefore not vectorised) — it is the Newton step's latency floor.
+  const double* site = ws_->site;
+  const double* site_d1 = ws_->site_d1;
+  const double* site_d2 = ws_->site_d2;
+  EdgeDerivatives d;
+  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
+    const double s = site[pat];
+    if (s <= 0.0) continue;
+    const double weight = pattern_weights_[pat];
+    const double ratio1 = site_d1[pat] / s;
+    d.d1 += weight * ratio1;
+    d.d2 += weight * (site_d2[pat] / s - ratio1 * ratio1);
+  }
+  return d;
 }
 
 std::vector<double> LikelihoodEngine::site_log_likelihoods() {

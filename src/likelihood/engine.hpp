@@ -56,7 +56,7 @@ struct KernelCounters {
   /// thrash; should stay near zero during smoothing).
   std::uint64_t transition_evictions = 0;
   std::uint64_t edge_captures = 0;      ///< edge_likelihood() calls
-  std::uint64_t edge_evaluations = 0;   ///< EdgeLikelihood::evaluate calls
+  std::uint64_t edge_evaluations = 0;   ///< evaluate + derivatives calls
   std::uint64_t clv_computations = 0;   ///< internal-CLV recomputations
   /// Patterns rescaled by the 2^-256 underflow guard (deep-tree activity;
   /// the backend-parity tests assert this matches across SIMD backends).
@@ -84,15 +84,33 @@ struct KernelCounters {
 ///
 /// The view borrows engine-owned scratch (coefficients and site buffers),
 /// so it is valid only until the next edge_likelihood() / attach() /
-/// set_model() call on the same engine; evaluate() itself allocates
-/// nothing. Exactly one EdgeLikelihood per engine is live at a time — the
-/// optimizer's capture-then-iterate pattern.
+/// set_model() call on the same engine; evaluate() and derivatives()
+/// allocate nothing. Exactly one EdgeLikelihood per engine is live at a
+/// time — the optimizer's capture-then-iterate pattern.
+///
+/// Both entry points run the same per-category contraction into the site
+/// planes; they differ only in the reduction that follows (a per-pattern
+/// log sum, a derivative-ratio sum, or both).
 class EdgeLikelihood {
  public:
   /// Log-likelihood at branch length t; optionally first/second derivatives.
   double evaluate(double t, double* d1 = nullptr, double* d2 = nullptr) const;
 
+  /// First and second derivatives at t, without the per-pattern log — the
+  /// Newton step's entry point. Bit-identical to the d1/d2 that
+  /// evaluate(t, &d1, &d2) writes.
+  EdgeDerivatives derivatives(double t) const;
+
  private:
+  /// Fills the workspace site plane (and the derivative planes when
+  /// `derivs`) for branch length t, and counts one edge evaluation.
+  void contract(double t, bool derivs) const;
+  /// scale_offset_ + sum_p w_p log(site_p), in pattern order.
+  double log_sum() const;
+  /// sum_p w_p site_d1/site_p and sum_p w_p (site_d2/site_p - ratio^2), in
+  /// pattern order; zero-probability patterns contribute nothing.
+  EdgeDerivatives derivative_sum() const;
+
   friend class LikelihoodEngine;
   friend class BatchEdgeEvaluator;  // builds per-edge views over batch planes
 
@@ -110,7 +128,8 @@ class EdgeLikelihood {
 
 /// Engine-owned scratch the EdgeLikelihood view evaluates out of: eigen
 /// coefficients written by edge_likelihood(), per-site accumulators reused
-/// by every evaluate() call. Pointers alias engine arenas sized once.
+/// by every evaluate() / derivatives() call. Pointers alias engine arenas
+/// sized once.
 struct EdgeLikelihood::Workspace {
   const double* coeff = nullptr;  // [cat][4][padded] eigen coefficient planes
   const double* lam = nullptr;    // [cat][4] = lambda_k * rate_cat

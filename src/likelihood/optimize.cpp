@@ -15,9 +15,7 @@ double newton_branch_solve(const EdgeLikelihood& f, double t0,
   double t = std::clamp(t0, lo, hi);
 
   for (int iter = 0; iter < options.max_newton_iterations; ++iter) {
-    double d1 = 0.0;
-    double d2 = 0.0;
-    f.evaluate(t, &d1, &d2);
+    const auto [d1, d2] = f.derivatives(t);
     // Already at a stationary point: stop before taking another step.
     if (std::fabs(d1) <= options.derivative_tolerance) break;
     // Shrink the bracket around the maximum using the gradient sign.

@@ -129,16 +129,30 @@ GeneralEdgeLikelihood GeneralEngine::edge_likelihood(int u, int v) const {
 }
 
 double GeneralEdgeLikelihood::evaluate(double t, double* d1, double* d2) const {
+  const bool derivs = d1 != nullptr || d2 != nullptr;
+  const Sites sites = contract(t, derivs);
+  if (derivs) {
+    const EdgeDerivatives d = derivative_sum(sites);
+    if (d1 != nullptr) *d1 = d.d1;
+    if (d2 != nullptr) *d2 = d.d2;
+  }
+  return log_sum(sites);
+}
+
+EdgeDerivatives GeneralEdgeLikelihood::derivatives(double t) const {
+  return derivative_sum(contract(t, /*derivs=*/true));
+}
+
+GeneralEdgeLikelihood::Sites GeneralEdgeLikelihood::contract(double t,
+                                                             bool derivs) const {
   const std::size_t n = static_cast<std::size_t>(n_);
   const std::size_t cats = rates_->num_categories();
-  const bool derivs = d1 != nullptr || d2 != nullptr;
 
-  std::vector<double> site(num_patterns_, 0.0);
-  std::vector<double> site_d1;
-  std::vector<double> site_d2;
+  Sites sites;
+  sites.value.assign(num_patterns_, 0.0);
   if (derivs) {
-    site_d1.assign(num_patterns_, 0.0);
-    site_d2.assign(num_patterns_, 0.0);
+    sites.d1.assign(num_patterns_, 0.0);
+    sites.d2.assign(num_patterns_, 0.0);
   }
   std::vector<double> p;
   std::vector<double> dp;
@@ -162,34 +176,36 @@ double GeneralEdgeLikelihood::evaluate(double t, double* d1, double* d2) const {
           s2 += w[x] * d2p[x];
         }
       }
-      site[pat] += s;
+      sites.value[pat] += s;
       if (derivs) {
-        site_d1[pat] += s1 * rate;
-        site_d2[pat] += s2 * rate * rate;
+        sites.d1[pat] += s1 * rate;
+        sites.d2[pat] += s2 * rate * rate;
       }
     }
   }
+  return sites;
+}
 
+double GeneralEdgeLikelihood::log_sum(const Sites& sites) const {
   double lnl = scale_offset_;
-  double g = 0.0;
-  double h = 0.0;
   for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
-    const double weight = pattern_weights_[pat];
-    const double s = site[pat];
-    if (s <= 0.0) {
-      lnl += weight * -1e30;
-      continue;
-    }
-    lnl += weight * std::log(s);
-    if (derivs) {
-      const double r1 = site_d1[pat] / s;
-      g += weight * r1;
-      h += weight * (site_d2[pat] / s - r1 * r1);
-    }
+    const double s = sites.value[pat];
+    lnl += pattern_weights_[pat] * (s <= 0.0 ? -1e30 : std::log(s));
   }
-  if (d1 != nullptr) *d1 = g;
-  if (d2 != nullptr) *d2 = h;
   return lnl;
+}
+
+EdgeDerivatives GeneralEdgeLikelihood::derivative_sum(const Sites& sites) const {
+  EdgeDerivatives d;
+  for (std::size_t pat = 0; pat < num_patterns_; ++pat) {
+    const double s = sites.value[pat];
+    if (s <= 0.0) continue;
+    const double weight = pattern_weights_[pat];
+    const double r1 = sites.d1[pat] / s;
+    d.d1 += weight * r1;
+    d.d2 += weight * (sites.d2[pat] / s - r1 * r1);
+  }
+  return d;
 }
 
 double GeneralEngine::log_likelihood() const {
@@ -206,9 +222,7 @@ double GeneralEngine::optimize_edge(Tree& tree, int u, int v) const {
   double hi = kMaxBranchLength;
   double t = std::clamp(tree.length(u, v), lo, hi);
   for (int iter = 0; iter < 30; ++iter) {
-    double d1 = 0.0;
-    double d2 = 0.0;
-    f.evaluate(t, &d1, &d2);
+    const auto [d1, d2] = f.derivatives(t);
     if (d1 > 0.0) {
       lo = t;
     } else {

@@ -21,9 +21,24 @@ namespace fdml {
 class GeneralEdgeLikelihood {
  public:
   double evaluate(double t, double* d1 = nullptr, double* d2 = nullptr) const;
+  /// First and second derivatives at t without the per-pattern log — the
+  /// Newton step's entry point. Same bits as evaluate(t, &d1, &d2).
+  EdgeDerivatives derivatives(double t) const;
 
  private:
   friend class GeneralEngine;
+
+  /// Per-pattern probabilities at one branch length; d1/d2 (derivatives
+  /// with respect to t) are filled only when requested.
+  struct Sites {
+    std::vector<double> value;
+    std::vector<double> d1;
+    std::vector<double> d2;
+  };
+  Sites contract(double t, bool derivs) const;
+  double log_sum(const Sites& sites) const;
+  EdgeDerivatives derivative_sum(const Sites& sites) const;
+
   const GeneralModel* model_ = nullptr;
   const RateModel* rates_ = nullptr;
   int n_ = 0;

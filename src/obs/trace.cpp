@@ -127,10 +127,13 @@ void TraceLog::write_chrome(std::ostream& out) const {
 void Tracer::enable(std::size_t events_per_thread) {
   {
     std::lock_guard lock(mutex_);
-    capacity_ = events_per_thread == 0 ? 1 : events_per_thread;
+    capacity_.store(events_per_thread == 0 ? 1 : events_per_thread,
+                    std::memory_order_relaxed);
+    // Free every ring's slots: each reallocates at the new capacity on its
+    // first event, so rings of idle (or exited) threads stay empty.
     for (auto& ring : rings_) {
       std::lock_guard ring_lock(ring->mutex);
-      ring->slots.assign(capacity_, TraceEvent{});
+      std::vector<TraceEvent>().swap(ring->slots);
       ring->head = 0;
       ring->size = 0;
       ring->dropped = 0;
@@ -158,7 +161,6 @@ Tracer::Ring& Tracer::local_ring() {
   std::lock_guard lock(mutex_);
   auto ring = std::make_unique<Ring>();
   ring->tid = static_cast<int>(rings_.size());
-  ring->slots.assign(capacity_, TraceEvent{});
   t_ring = ring.get();
   rings_.push_back(std::move(ring));
   return *t_ring;
@@ -176,7 +178,9 @@ void Tracer::record(TraceEvent event) {
   if (event.ts_ns == 0) event.ts_ns = monotonic_ns();
   Ring& ring = local_ring();
   std::lock_guard lock(ring.mutex);
-  if (ring.slots.empty()) return;
+  if (ring.slots.empty()) {
+    ring.slots.assign(capacity_.load(std::memory_order_relaxed), TraceEvent{});
+  }
   if (ring.size < ring.slots.size()) {
     ring.slots[(ring.head + ring.size) % ring.slots.size()] = event;
     ++ring.size;

@@ -94,7 +94,9 @@ inline bool trace_enabled() {
 
 class Tracer {
  public:
-  /// Starts recording. `events_per_thread` bounds each thread's ring.
+  /// Starts recording. `events_per_thread` bounds each thread's ring. A
+  /// ring's slots are allocated on its thread's first event after this, so
+  /// threads that never record while tracing is on cost no ring memory.
   void enable(std::size_t events_per_thread = 1 << 16);
   /// Stops recording; buffered events stay drainable.
   void disable();
@@ -136,9 +138,10 @@ class Tracer {
  private:
   Ring& local_ring();
 
-  mutable std::mutex mutex_;  // guards rings_ vector and capacity_
+  mutable std::mutex mutex_;  // guards the rings_ vector
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::size_t capacity_ = 1 << 16;
+  /// Slots a ring allocates on its first event (set by enable()).
+  std::atomic<std::size_t> capacity_{1 << 16};
 };
 
 /// --- Convenience recording API (all one relaxed load when disabled) ---

@@ -21,6 +21,13 @@ inline constexpr double kMaxBranchLength = 64.0;
 /// Default length assigned to newly created branches before optimization.
 inline constexpr double kDefaultBranchLength = 0.1;
 
+/// First and second derivatives of a tree's log-likelihood with respect to
+/// one branch length: what a Newton step on that branch consumes.
+struct EdgeDerivatives {
+  double d1 = 0.0;
+  double d2 = 0.0;
+};
+
 class Tree {
  public:
   static constexpr int kNoNode = -1;

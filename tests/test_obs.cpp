@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
@@ -164,6 +166,67 @@ TEST(Tracer, ChromeRoundTripPreservesEventsAndThreads) {
     if (name == "roundtrip") named = true;
   }
   EXPECT_TRUE(named);
+}
+
+// Resident set of this process in kB (Linux /proc), 0 if unreadable.
+long resident_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return 0;
+}
+
+// Naming a thread registers a ring but must not allocate its slots while
+// tracing is off (a long-lived service names many threads and never
+// traces); nor may enable() allocate slots for rings whose threads never
+// record. At the default 1<<16 capacity one ring's slots are ~4.7 MB.
+TEST(Tracer, IdleNamedThreadsCostNoRingMemory) {
+  obs::Tracer::instance().enable();  // default capacity for new rings
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  const long before = resident_kb();
+  ASSERT_GT(before, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 64; ++i) {
+    threads.emplace_back([i] { obs::set_thread_name("idle-" + std::to_string(i)); });
+  }
+  for (std::thread& t : threads) t.join();
+  obs::Tracer::instance().enable();
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().reset();
+  EXPECT_LT(resident_kb() - before, 16 * 1024);
+}
+
+TEST(Tracer, ThreadNamedBeforeEnableRecordsAfterIt) {
+  ASSERT_FALSE(obs::trace_enabled());
+  std::promise<void> named;
+  std::promise<void> enabled;
+  std::thread early([&] {
+    obs::set_thread_name("named-early");
+    named.set_value();
+    enabled.get_future().wait();
+    obs::instant("early", "tick", "i", 1);
+  });
+  named.get_future().wait();
+  obs::TraceLog log;
+  {
+    TracerGuard guard;
+    enabled.set_value();
+    early.join();
+    log = obs::Tracer::instance().drain();
+  }
+  int tid = -1;
+  for (const auto& [id, name] : log.threads) {
+    if (name == "named-early") tid = id;
+  }
+  ASSERT_GE(tid, 0);
+  int ticks = 0;
+  for (const obs::LogEvent& e : log.events) {
+    if (e.cat == "early" && e.tid == tid) ++ticks;
+  }
+  EXPECT_EQ(ticks, 1);
 }
 
 // --- report math on a hand-computed trace ---

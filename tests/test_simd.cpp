@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "fdml.hpp"
 #include "likelihood/kernels.hpp"
@@ -628,6 +629,125 @@ TEST(Simd, BatchInsertionMatchesRealInsertion) {
       ASSERT_EQ(batched[k].lnl, ref.lnl) << backend << " candidate " << k;
       ASSERT_EQ(batched[k].d1, ref.d1) << backend << " candidate " << k;
       ASSERT_EQ(batched[k].d2, ref.d2) << backend << " candidate " << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Derivative-only edge evaluation
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// derivatives(t) skips the per-pattern log but must hand Newton exactly the
+// d1/d2 bits evaluate(t, &d1, &d2) writes: same contraction, same pattern-
+// order reduction. Checked on engine views and on batch views, uniform and
+// Γ4, for every exact backend the host can run.
+TEST(Simd, DerivativesMatchEvaluateBitExactly) {
+  BackendGuard guard;
+  Rng tree_rng(43);
+  Tree tree(24);
+  const Alignment alignment = parity_alignment(24, 150, 4301, tree_rng, tree);
+  const PatternAlignment data(alignment);
+  const SubstModel model =
+      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
+  const std::vector<std::pair<int, int>> edges = tree.edges();
+  const double lengths[] = {kMinBranchLength, 0.003, 0.05, 0.13, 0.8, 7.5};
+
+  const auto expect_same = [&](const EdgeLikelihood& f, const std::string& what) {
+    for (const double t : lengths) {
+      double d1 = 0.0;
+      double d2 = 0.0;
+      f.evaluate(t, &d1, &d2);
+      const EdgeDerivatives d = f.derivatives(t);
+      ASSERT_EQ(bits(d.d1), bits(d1)) << what << " t=" << t;
+      ASSERT_EQ(bits(d.d2), bits(d2)) << what << " t=" << t;
+    }
+  };
+
+  for (const RateModel& rates :
+       {RateModel::uniform(), RateModel::discrete_gamma(0.7, 4)}) {
+    for (const std::string& backend : all_usable_backend_names()) {
+      ASSERT_TRUE(simd::set_backend(backend));
+      LikelihoodEngine engine(data, model, rates);
+      engine.attach(tree);
+      const std::string label =
+          backend + " cats=" + std::to_string(rates.num_categories());
+      for (const auto& [u, v] : edges) {
+        expect_same(engine.edge_likelihood(u, v), label + " engine view");
+      }
+      BatchEdgeEvaluator batch(engine);
+      std::vector<BatchEdgeEvaluator::Edge> chunk;
+      for (std::size_t k = 0; k < 7; ++k) {
+        const auto [u, v] = edges[(k * 3) % edges.size()];
+        chunk.push_back({u, v});
+      }
+      batch.capture(chunk);
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        expect_same(batch.view(k), label + " batch view " + std::to_string(k));
+      }
+    }
+  }
+}
+
+// newton_branch_solve on derivatives() must land on the same length bits as
+// the same safeguarded Newton iteration driven by evaluate(t, &d1, &d2).
+// The reference loop is written out here so the production solver is free
+// to change its entry point, never its arithmetic.
+double reference_newton(const EdgeLikelihood& f, double t0,
+                        const OptimizeOptions& options) {
+  double lo = kMinBranchLength;
+  double hi = kMaxBranchLength;
+  double t = std::clamp(t0, lo, hi);
+  for (int iter = 0; iter < options.max_newton_iterations; ++iter) {
+    double d1 = 0.0;
+    double d2 = 0.0;
+    f.evaluate(t, &d1, &d2);
+    if (std::fabs(d1) <= options.derivative_tolerance) break;
+    if (d1 > 0.0) {
+      lo = t;
+    } else {
+      hi = t;
+    }
+    double next = 0.5 * (lo + hi);
+    if (d2 < 0.0) {
+      next = t - d1 / d2;
+      if (next <= lo || next >= hi) next = 0.5 * (lo + hi);
+    }
+    const double change = std::fabs(next - t);
+    t = next;
+    if (change <= options.branch_tolerance * std::max(t, 1e-3)) break;
+    if (hi - lo <= options.branch_tolerance * std::max(lo, 1e-3)) break;
+  }
+  return std::clamp(t, kMinBranchLength, kMaxBranchLength);
+}
+
+TEST(Simd, NewtonSolveMatchesEvaluateReference) {
+  BackendGuard guard;
+  Rng tree_rng(47);
+  Tree tree(20);
+  const Alignment alignment = parity_alignment(20, 200, 4702, tree_rng, tree);
+  const PatternAlignment data(alignment);
+  const SubstModel model =
+      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
+  const OptimizeOptions options;
+
+  for (const RateModel& rates :
+       {RateModel::uniform(), RateModel::discrete_gamma(0.7, 4)}) {
+    for (const std::string& backend : all_usable_backend_names()) {
+      ASSERT_TRUE(simd::set_backend(backend));
+      LikelihoodEngine engine(data, model, rates);
+      engine.attach(tree);
+      for (const auto& [u, v] : tree.edges()) {
+        const EdgeLikelihood f = engine.edge_likelihood(u, v);
+        for (const double t0 : {0.001, kDefaultBranchLength, 2.0}) {
+          const double got = newton_branch_solve(f, t0, options);
+          const double want = reference_newton(f, t0, options);
+          ASSERT_EQ(bits(got), bits(want))
+              << backend << " cats=" << rates.num_categories() << " edge ("
+              << u << "," << v << ") t0=" << t0;
+        }
+      }
     }
   }
 }
