@@ -1,7 +1,7 @@
 // fastdnaml++ — the command-line program, in the spirit of the original
 // fastDNAml interface: PHYLIP alignment in, maximum-likelihood tree out,
 // with jumbles, bootstrap, rate categories, rearrangement control, and the
-// parallel runtime behind a flag.
+// paper's master/foreman/worker runtime behind a flag.
 //
 //   fastdnamlpp alignment.phy                         # serial, defaults
 //   fastdnamlpp alignment.phy --jumble=10 --seed=3    # 10 addition orders
@@ -9,14 +9,27 @@
 //   fastdnamlpp alignment.phy --bootstrap=100         # bootstrap supports
 //   fastdnamlpp alignment.phy --tstv=2.0 --cross=5 --gamma=0.5 --categories=4
 //   fastdnamlpp alignment.phy --out=best.nwk --svg=compare.svg
+//   fastdnamlpp --taxa=20 --sites=600 --workers=4     # synthetic dataset
+//   fastdnamlpp --taxa=20 --workers=4 --chaos="chaos-plan v1 seed=7 drop=0.05"
+//   fastdnamlpp --taxa=12 --workers=4 --trace-out=run.json
+//       --sim-trace-out=sim.json --sim-procs=7        # live + replayed trace
+//
+//   # Multi-process: one rank per process (0 = master, 1 = foreman,
+//   # 2.. = workers); scripts/launch_cluster.sh spawns all of them.
+//   fastdnamlpp --taxa=16 --transport=socket --rank=N --port=P --fabric-size=5
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
+#include <stdexcept>
 
+#include "common.hpp"
 #include "fdml.hpp"
 #include "util/simd.hpp"
 
 namespace {
+
+using namespace fdml;
 
 // SIGINT/SIGTERM ask the run to stop at the next checkpoint boundary; the
 // search throws SearchInterrupted after that checkpoint is durably
@@ -30,6 +43,9 @@ extern "C" void handle_stop_signal(int signal_number) {
 void usage(const char* program) {
   std::printf(
       "usage: %s ALIGNMENT.phy [options]\n"
+      "   or: %s --taxa=N --sites=M [options]\n"
+      "  --taxa=N --sites=M  synthetic paper-like alignment instead of a file\n"
+      "                    (defaults 20 x 600; every rank rebuilds the same)\n"
       "  --seed=N          random seed for taxon addition order (default 1)\n"
       "  --jumble=N        number of random addition orders (default 1)\n"
       "  --bootstrap=N     bootstrap replicates instead of a plain search\n"
@@ -41,25 +57,29 @@ void usage(const char* program) {
       "  --adaptive=K      escalate stalled rearrangements up to K\n"
       "  --workers=N       run the parallel cluster with N workers\n"
       "  --timeout-ms=T    worker fault-tolerance timeout (default 30000)\n"
+      "  --chaos=PLAN      with --workers: seeded faults on the worker links\n"
       "  --transport=T     thread (default) or socket (multi-process TCP;\n"
       "                    launch one process per rank, see\n"
       "                    scripts/launch_cluster.sh)\n"
       "  --rank=N          socket mode: this process's rank (0 = master)\n"
       "  --port=P          socket mode: hub TCP port\n"
       "  --host=H          socket mode: hub address (default 127.0.0.1)\n"
-      "  --fabric-size=S   socket mode: total process count\n"
+      "  --fabric-size=S   socket mode: total process count (workers + 2)\n"
+      "  --connect-timeout-ms=T  socket mode: rendezvous deadline (default 15000)\n"
       "  --checkpoint=FILE write a restart checkpoint after each addition\n"
       "  --checkpoint-keep=K  checkpoint generations retained (default 3)\n"
       "  --resume=FILE     continue an interrupted run from its checkpoint\n"
       "                    (rolls back to the newest valid generation)\n"
-      "  --out=FILE        write the best tree (Newick)\n"
+      "  --out=FILE        write the best tree (Newick) and its ln L\n"
       "  --svg=FILE        write a comparison SVG across jumbles\n"
       "  --trace-out=FILE  write a Chrome trace of the run (chrome://tracing;\n"
       "                    feed it to trace_report for utilization tables)\n"
+      "  --sim-trace-out=FILE  Chrome trace of the search replayed by the\n"
+      "                    cluster simulator on --sim-procs=P (default 7)\n"
       "  --log-level=L     debug|info|warn|error|off (default warn)\n"
       "  --quiet           suppress the ASCII tree\n"
       "  --version         print version and SIMD kernel backend info\n",
-      program);
+      program, program);
 }
 
 void print_version() {
@@ -79,49 +99,80 @@ void print_version() {
   std::printf("\n");
 }
 
-fdml::SocketRunOptions socket_options_from_args(const fdml::CliArgs& args) {
-  fdml::SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
-  return options;
+/// Writes a trace log as Chrome JSON and reports its size.
+bool write_trace_file(const std::string& path, const obs::TraceLog& log) {
+  std::ostringstream json;
+  log.write_chrome(json);
+  if (!write_text_file(path, json.str())) return false;
+  std::printf("wrote trace: %s (%zu events, %llu dropped)\n", path.c_str(),
+              log.events.size(),
+              static_cast<unsigned long long>(log.dropped_events));
+  return true;
 }
 
-}  // namespace
+/// Stops the live tracer and writes everything it recorded.
+bool write_live_trace(const std::string& path) {
+  obs::Tracer::instance().disable();
+  return write_trace_file(path, obs::Tracer::instance().drain());
+}
 
-int main(int argc, char** argv) {
-  using namespace fdml;
-  const CliArgs args(argc, argv);
-  if (args.has("version")) {
-    print_version();
-    return 0;
+/// A non-master rank of a multi-process run: execute the role loop until
+/// the fabric shuts down, then print a one-line summary.
+int run_socket_peer(const CliArgs& args, const PatternAlignment& data,
+                    const SubstModel& model, const RateModel& rates,
+                    const std::string& trace_out) {
+  const SocketRunOptions options = socket_options_from_args(args, 30000);
+  SocketRoleResult role;
+  try {
+    role = run_socket_role(data, model, rates, options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "rank %d: %s\n", options.socket.rank, error.what());
+    return 1;
   }
-  if (args.positional().empty()) {
-    usage(argv[0]);
+  if (role.foreman.has_value()) {
+    std::printf("foreman: %llu rounds, %llu tasks, %llu requeues, "
+                "%llu quarantines\n",
+                static_cast<unsigned long long>(role.foreman->rounds),
+                static_cast<unsigned long long>(role.foreman->tasks_completed),
+                static_cast<unsigned long long>(role.foreman->requeues),
+                static_cast<unsigned long long>(role.foreman->quarantines));
+  } else if (role.worker.has_value()) {
+    std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
+                static_cast<unsigned long long>(role.worker->tasks_evaluated),
+                role.worker->cpu_seconds);
+  }
+  // Every process traces itself; suffix by rank so a cluster launched with
+  // one argv does not clobber a shared path.
+  if (!trace_out.empty() &&
+      !write_live_trace(trace_out + ".rank" + std::to_string(role.rank))) {
+    return 1;
+  }
+  return 0;
+}
+
+int run(const CliArgs& args, const char* program) {
+  if (args.positional().empty() && !args.has("taxa") && !args.has("sites")) {
+    usage(program);
     return 2;
   }
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
+  if (!apply_log_level(args)) return 2;
   const std::string trace_out = args.get("trace-out", "");
   if (!trace_out.empty()) obs::Tracer::instance().enable();
 
   Alignment alignment;
-  try {
-    alignment = read_phylip_file(args.positional().front());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error reading %s: %s\n",
-                 args.positional().front().c_str(), error.what());
-    return 1;
+  if (args.positional().empty()) {
+    alignment = make_paper_like_dataset(
+        static_cast<int>(args.get_int("taxa", 20, 3, INT_MAX)),
+        static_cast<std::size_t>(args.get_int("sites", 600, 1, INT64_MAX)),
+        4242);
+  } else {
+    try {
+      alignment = read_phylip_file(args.positional().front());
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "error reading %s: %s\n",
+                   args.positional().front().c_str(), error.what());
+      return 1;
+    }
   }
   const PatternAlignment data(alignment);
   std::printf("fastdnaml++ | %zu taxa x %zu sites -> %zu patterns\n",
@@ -156,42 +207,8 @@ int main(int argc, char** argv) {
                    "(run the plain search; bootstrap uses in-process runners)\n");
       return 2;
     }
-    const int rank = static_cast<int>(args.get_int("rank", 0));
-    if (rank != 0) {
-      // Non-master rank: run this process's role loop (foreman / monitor /
-      // worker) until the fabric shuts down, then exit. Every rank loads
-      // the same alignment file and model flags.
-      SocketRoleResult role;
-      try {
-        role = run_socket_role(data, model, rates, socket_options_from_args(args));
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "rank %d: %s\n", rank, error.what());
-        return 1;
-      }
-      if (role.foreman.has_value()) {
-        std::printf("foreman: %llu rounds, %llu tasks, %llu quarantines\n",
-                    static_cast<unsigned long long>(role.foreman->rounds),
-                    static_cast<unsigned long long>(role.foreman->tasks_completed),
-                    static_cast<unsigned long long>(role.foreman->quarantines));
-      } else if (role.worker.has_value()) {
-        std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
-                    static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                    role.worker->cpu_seconds);
-      }
-      if (!trace_out.empty()) {
-        obs::Tracer::instance().disable();
-        const obs::TraceLog log = obs::Tracer::instance().drain();
-        const std::string path = trace_out + ".rank" + std::to_string(rank);
-        std::ofstream out(path);
-        log.write_chrome(out);
-        if (!out) {
-          std::fprintf(stderr, "error writing %s\n", path.c_str());
-          return 1;
-        }
-        std::printf("wrote trace: %s (%zu events)\n", path.c_str(),
-                    log.events.size());
-      }
-      return 0;
+    if (args.get_int("rank", 0) != 0) {
+      return run_socket_peer(args, data, model, rates, trace_out);
     }
   }
 
@@ -216,15 +233,16 @@ int main(int argc, char** argv) {
                 "(labels = %% of replicates):\n%s\n",
                 render_ascii(result.consensus, ascii).c_str());
     if (args.has("out")) {
-      std::ofstream out(args.get("out", ""));
-      out << to_newick(result.consensus) << "\n";
-      std::printf("wrote %s\n", args.get("out", "").c_str());
+      const std::string out = args.get("out", "");
+      if (!write_text_file(out, to_newick(result.consensus) + "\n")) return 1;
+      std::printf("wrote %s\n", out.c_str());
     }
     return 0;
   }
 
   // Plain (possibly jumbled, possibly parallel) search.
   const int jumbles = static_cast<int>(args.get_int("jumble", 1));
+  const int sim_procs = static_cast<int>(args.get_int("sim-procs", 7));
   std::unique_ptr<InProcessCluster> cluster;
   std::unique_ptr<SocketCluster> socket_cluster;
   std::unique_ptr<SerialTaskRunner> serial;
@@ -232,8 +250,7 @@ int main(int argc, char** argv) {
   if (transport == "socket") {
     // Rank 0 of a multi-process run: fabric hub + master, everything else
     // is other OS processes rendezvousing on our port.
-    SocketRunOptions socket_options = socket_options_from_args(args);
-    socket_options.socket.rank = 0;
+    const SocketRunOptions socket_options = socket_options_from_args(args, 30000);
     socket_cluster =
         std::make_unique<SocketCluster>(data, model, rates, socket_options);
     std::printf("socket cluster: hub on port %u, %d workers (%d processes)\n",
@@ -252,12 +269,18 @@ int main(int argc, char** argv) {
     runner = &socket_cluster->runner();
   } else if (args.has("workers")) {
     ClusterOptions cluster_options;
-    cluster_options.num_workers = static_cast<int>(args.get_int("workers", 4));
+    cluster_options.num_workers =
+        static_cast<int>(args.get_int("workers", 4, 1, INT_MAX));
     cluster_options.foreman.worker_timeout =
         std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
+    if (args.has("chaos")) {
+      // A serialized FaultPlan: the same plan line replays the same fault
+      // schedule on every run.
+      cluster_options.chaos = FaultPlan::parse(args.get("chaos", ""));
+    }
     cluster = std::make_unique<InProcessCluster>(data, model, rates, cluster_options);
     runner = &cluster->runner();
-    std::printf("parallel: %d workers (+ master/foreman/monitor)\n",
+    std::printf("parallel: %d workers (+ master/foreman)\n",
                 cluster->num_workers());
   } else {
     serial = std::make_unique<SerialTaskRunner>(data, model, rates);
@@ -333,9 +356,12 @@ int main(int argc, char** argv) {
   std::printf("Newick: %s\n", to_newick(tree, data.names(), 6).c_str());
 
   if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << to_newick(tree, data.names(), 10) << "\n";
-    std::printf("wrote %s\n", args.get("out", "").c_str());
+    const std::string out = args.get("out", "");
+    if (!write_result_file(out, best.best_newick, data.names(),
+                           best.best_log_likelihood)) {
+      return 1;
+    }
+    std::printf("wrote %s\n", out.c_str());
   }
   if (args.has("svg") && jumbles > 1) {
     std::vector<GeneralTree> panels;
@@ -346,17 +372,26 @@ int main(int argc, char** argv) {
           data.names()));
       titles.push_back("order " + std::to_string(k));
     }
-    std::ofstream out(args.get("svg", ""));
-    out << render_comparison_svg(panels, {data.names().front()}, titles);
-    std::printf("wrote %s\n", args.get("svg", "").c_str());
+    const std::string svg = args.get("svg", "");
+    if (!write_text_file(svg, render_comparison_svg(
+                                  panels, {data.names().front()}, titles))) {
+      return 1;
+    }
+    std::printf("wrote %s\n", svg.c_str());
   }
   if (cluster != nullptr) {
     cluster->shutdown();  // the foreman's final counts
     const ForemanStats& stats = cluster->foreman_stats();
-    std::printf("\nmonitor: %llu rounds, %llu tasks, %llu requeues\n",
+    const obs::HistogramSnapshot slack =
+        cluster->metrics_snapshot().histogram("foreman.round_slack_s");
+    std::printf("\nforeman: %llu rounds, %llu tasks, %llu requeues, "
+                "%llu quarantines, mean barrier slack %.4fs\n",
                 static_cast<unsigned long long>(stats.rounds),
                 static_cast<unsigned long long>(stats.tasks_completed),
-                static_cast<unsigned long long>(stats.requeues));
+                static_cast<unsigned long long>(stats.requeues),
+                static_cast<unsigned long long>(stats.quarantines),
+                slack.count > 0 ? slack.sum / static_cast<double>(slack.count)
+                                : 0.0);
   }
   if (socket_cluster != nullptr) {
     socket_cluster->shutdown();  // drain the peers before reading stats
@@ -368,18 +403,39 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fabric.peer_deaths),
                 static_cast<unsigned long long>(fabric.frames_dropped));
   }
-  if (!trace_out.empty()) {
-    obs::Tracer::instance().disable();
-    const obs::TraceLog log = obs::Tracer::instance().drain();
-    std::ofstream out(trace_out);
-    log.write_chrome(out);
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("wrote trace: %s (%zu events, %llu dropped)\n",
-                trace_out.c_str(), log.events.size(),
-                static_cast<unsigned long long>(log.dropped_events));
+  if (!trace_out.empty() && !write_live_trace(trace_out)) return 1;
+  if (args.has("sim-trace-out")) {
+    // Replay the best run's recorded search through the discrete-event
+    // cluster; the replay emits the live trace vocabulary in virtual time.
+    obs::TraceLog sim_log;
+    SimClusterConfig sim_config;
+    sim_config.processors = sim_procs;
+    sim_config.trace = &sim_log;
+    const SimResult sim = simulate_trace(best.trace, sim_config);
+    std::printf("simulated %d procs: %.3fs virtual wall, utilization %.2f\n",
+                sim_config.processors, sim.wall_seconds,
+                sim.worker_utilization);
+    if (!write_trace_file(args.get("sim-trace-out", ""), sim_log)) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  if (args.has("version")) {
+    print_version();
+    return 0;
+  }
+  try {
+    return run(args, argv[0]);
+  } catch (const std::invalid_argument& error) {
+    // A malformed flag value, or a setting the library rejects.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
 }

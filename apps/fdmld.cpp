@@ -7,12 +7,12 @@
 // and graceful drain on SIGTERM.
 //
 //   # the server (fabric hub + scheduler + service endpoint)
-//   fdmld --mode=serve --port=7100 --fabric-size=6 --service-port=7200
+//   fdmld --mode=serve --port=7100 --fabric-size=5 --service-port=7200
 //         --taxa=12 --sites=300 --max-active=2 --max-queued=8
 //         --checkpoint-dir=ckpts --metrics-out=metrics.json
 //
-//   # a non-master rank (foreman/monitor/worker), reconnect-hardened
-//   fdmld --mode=role --rank=3 --port=7100 --fabric-size=6
+//   # a non-master rank (1 = foreman, 2.. = workers), reconnect-hardened
+//   fdmld --mode=role --rank=2 --port=7100 --fabric-size=5
 //         --taxa=12 --sites=300 --reconnect --heartbeat-ms=250
 //
 //   # submit one job and wait for its tree (exit 0 done, 3 shed, 4 failed)
@@ -34,11 +34,12 @@
 //         --chaos="chaos-plan v1 seed=9 sock_latency=0.05 sock_close=0.002"
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common.hpp"
 #include "fdml.hpp"
 
 namespace {
@@ -64,33 +65,10 @@ Alignment dataset_from_args(const CliArgs& args) {
                            : make_paper_like_dataset(taxa, sites, 4242);
 }
 
-/// Canonical result file (same bytes as parallel_search --out and the
-/// soak's serial reference): newick at precision 10, then "lnL %.6f".
-bool write_result_file(const std::string& path, const std::string& newick,
-                       const PatternAlignment& data, double log_likelihood) {
-  const Tree best = tree_from_newick(newick, data.names());
-  std::ofstream out(path);
-  out << to_newick(best, data.names(), 10) << "\n";
-  char lnl[64];
-  std::snprintf(lnl, sizeof lnl, "lnL %.6f\n", log_likelihood);
-  out << lnl;
-  if (!out) {
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-SocketRunOptions socket_options_from_args(const CliArgs& args) {
-  SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.socket.connect_timeout =
-      std::chrono::milliseconds(args.get_int("connect-timeout-ms", 15000));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 8000));
+/// The shared socket flags plus the service's reconnect, heartbeat and
+/// telemetry settings.
+SocketRunOptions service_socket_options(const CliArgs& args) {
+  SocketRunOptions options = socket_options_from_args(args, 8000);
   if (args.has("reconnect")) {
     options.socket.reconnect = true;
     options.socket.reconnect_budget =
@@ -138,7 +116,7 @@ int run_serve(const CliArgs& args) {
       SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
   const RateModel rates = RateModel::uniform();
 
-  SocketRunOptions cluster_options = socket_options_from_args(args);
+  SocketRunOptions cluster_options = service_socket_options(args);
   cluster_options.socket.rank = 0;
   // The service retries failed rounds (the remote foreman may be riding out
   // an outage) before degrading to in-process evaluation.
@@ -162,8 +140,7 @@ int run_serve(const CliArgs& args) {
   sched.checkpoint_dir = args.get("checkpoint-dir", "");
   JobScheduler scheduler(data, cluster.runner(), sched);
   ServiceServerOptions server_options;
-  server_options.port =
-      static_cast<std::uint16_t>(args.get_int("service-port", 0));
+  server_options.port = port_arg(args, "service-port");
   const bool telemetry_on = cluster_options.telemetry_interval.count() > 0;
   if (telemetry_on) server_options.telemetry = &cluster.telemetry();
   ServiceServer server(scheduler, obs::MetricsRegistry::process(),
@@ -205,10 +182,8 @@ int run_serve(const CliArgs& args) {
               static_cast<unsigned long long>(stats.in_flight));
   if (args.has("metrics-out")) {
     const std::string path = args.get("metrics-out", "");
-    std::ofstream out(path);
-    out << obs::MetricsRegistry::process().snapshot().to_json();
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", path.c_str());
+    if (!write_text_file(path,
+                         obs::MetricsRegistry::process().snapshot().to_json())) {
       return 1;
     }
     std::printf("fdmld: wrote metrics snapshot: %s\n", path.c_str());
@@ -231,7 +206,7 @@ int run_role(const CliArgs& args) {
   const SubstModel model =
       SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
   const RateModel rates = RateModel::uniform();
-  const SocketRunOptions options = socket_options_from_args(args);
+  const SocketRunOptions options = service_socket_options(args);
   SocketRoleResult role;
   try {
     role = run_socket_role(data, model, rates, options);
@@ -265,7 +240,7 @@ int run_submit(const CliArgs& args) {
   spec.final_rearrange_cross = static_cast<int>(args.get_int("final-cross", 1));
   spec.name = args.get("name", "");
   const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
+  const std::uint16_t port = port_arg(args, "service-port");
   const auto timeout =
       std::chrono::milliseconds(args.get_int("wait-timeout-ms", 600000));
   ServiceReply reply;
@@ -292,8 +267,8 @@ int run_submit(const CliArgs& args) {
     if (args.has("out")) {
       const Alignment alignment = dataset_from_args(args);
       const PatternAlignment data(alignment);
-      if (!write_result_file(args.get("out", ""), outcome.newick, data,
-                             outcome.log_likelihood)) {
+      if (!write_result_file(args.get("out", ""), outcome.newick,
+                             data.names(), outcome.log_likelihood)) {
         return 1;
       }
     }
@@ -313,7 +288,7 @@ int run_submit(const CliArgs& args) {
 
 int run_stats(const CliArgs& args) {
   const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
+  const std::uint16_t port = port_arg(args, "service-port");
   std::string json;
   try {
     json = service_query_stats(host, port, std::chrono::milliseconds(
@@ -327,9 +302,7 @@ int run_stats(const CliArgs& args) {
     return 1;
   }
   if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << json;
-    if (!out) return 1;
+    if (!write_text_file(args.get("out", ""), json)) return 1;
   } else {
     std::fputs(json.c_str(), stdout);
   }
@@ -338,7 +311,7 @@ int run_stats(const CliArgs& args) {
 
 int run_scrape(const CliArgs& args) {
   const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
+  const std::uint16_t port = port_arg(args, "service-port");
   std::string text;
   try {
     text = service_scrape(host, port,
@@ -352,9 +325,7 @@ int run_scrape(const CliArgs& args) {
     return 1;
   }
   if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << text;
-    if (!out) return 1;
+    if (!write_text_file(args.get("out", ""), text)) return 1;
   } else {
     std::fputs(text.c_str(), stdout);
   }
@@ -379,8 +350,8 @@ int run_reference(const CliArgs& args) {
               static_cast<unsigned long long>(options.seed),
               result.best_log_likelihood);
   if (args.has("out") &&
-      !write_result_file(args.get("out", ""), result.best_newick, data,
-                         result.best_log_likelihood)) {
+      !write_result_file(args.get("out", ""), result.best_newick,
+                         data.names(), result.best_log_likelihood)) {
     return 1;
   }
   return 0;
@@ -389,11 +360,9 @@ int run_reference(const CliArgs& args) {
 int run_proxy(const CliArgs& args) {
   install_signal_handlers();
   ChaosProxyOptions options;
-  options.listen_port =
-      static_cast<std::uint16_t>(args.get_int("listen-port", 0));
+  options.listen_port = port_arg(args, "listen-port");
   options.target_host = args.get("host", "127.0.0.1");
-  options.target_port =
-      static_cast<std::uint16_t>(args.get_int("target-port", 0));
+  options.target_port = port_arg(args, "target-port");
   if (args.has("chaos")) options.plan = FaultPlan::parse(args.get("chaos", ""));
   ChaosProxy proxy(options);
   std::printf("fdmld: chaos proxy ready on port %u -> %s:%u\n",
@@ -418,19 +387,8 @@ int run_proxy(const CliArgs& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
+int run(const CliArgs& args) {
+  if (!apply_log_level(args)) return 2;
   const std::string mode = args.get("mode", "");
   if (mode == "serve") return run_serve(args);
   if (mode == "role") return run_role(args);
@@ -444,4 +402,19 @@ int main(int argc, char** argv) {
                "--mode=serve|role|submit|stats|scrape|reference|proxy "
                "[flags]\n");
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(CliArgs(argc, argv));
+  } catch (const std::invalid_argument& error) {
+    // A malformed flag value, or a setting the library rejects.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
+  }
 }

@@ -16,8 +16,8 @@ Checks, beyond line-level well-formedness:
     both scrapes is monotonic (never decreases), and at least one
     fdml_job_* progress series strictly advanced — a live run must move.
 
-Usage: check_metrics.py SCRAPE.prom [--require-worker-ranks 3,4,5]
-           [--require-stale-ranks 4] [--advance-from EARLIER.prom]
+Usage: check_metrics.py SCRAPE.prom [--require-worker-ranks 2,3,4]
+           [--require-stale-ranks 3] [--advance-from EARLIER.prom]
 Exits 1 with a diagnostic on the first violated invariant.
 """
 import argparse

@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
 # Stands up one multi-process socket-transport run: spawns SIZE OS processes
-# (rank 0 = master/hub, 1 = foreman, 2 = monitor, 3+ = workers), each the
+# (rank 0 = master/hub, 1 = foreman, 2+ = workers), each the
 # given BINARY with --transport=socket --rank=R --port=P --fabric-size=SIZE
 # appended, and exits with rank 0's exit code.
 #
 #   scripts/launch_cluster.sh [options] -- BINARY [binary args...]
 #
-#   --size=N          total process count (default 6: 3 workers)
+#   --size=N          total process count (default 5: 3 workers)
 #   --port=P          hub TCP port (default: random in 20000..39999)
 #   --logdir=DIR      per-rank stdout/stderr logs (default: a mktemp dir)
 #   --kill-rank=R     kill -9 rank R after --kill-after seconds (fault drill)
 #   --kill-after=S    delay before the kill (default 1)
 #
 # Examples:
-#   scripts/launch_cluster.sh --size=6 -- \
-#       build/examples/parallel_search --taxa=12 --sites=300 --out=best.nwk
-#   scripts/launch_cluster.sh --size=7 --kill-rank=4 --kill-after=2 -- \
-#       build/examples/parallel_search --taxa=16 --sites=500 --timeout-ms=5000
+#   scripts/launch_cluster.sh --size=5 -- \
+#       build/apps/fastdnamlpp --taxa=12 --sites=300 --out=best.nwk
+#   scripts/launch_cluster.sh --size=6 --kill-rank=3 --kill-after=2 -- \
+#       build/apps/fastdnamlpp --taxa=16 --sites=500 --timeout-ms=5000
 set -u
 
-SIZE=6
+SIZE=5
 PORT=$((20000 + RANDOM % 20000))
 LOGDIR=""
 KILL_RANK=""
@@ -51,8 +51,8 @@ fi
 BINARY=$1
 shift
 
-if [ "$SIZE" -lt 4 ]; then
-  echo "launch_cluster.sh: --size must be >= 4 (master+foreman+monitor+worker)" >&2
+if [ "$SIZE" -lt 3 ]; then
+  echo "launch_cluster.sh: --size must be >= 3 (master+foreman+worker)" >&2
   exit 2
 fi
 if [ -z "$LOGDIR" ]; then

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos soak for the fdmld service.
 #
-# Stands up a 6-rank socket deployment in which every non-master rank dials
+# Stands up a 5-rank socket deployment in which every non-master rank dials
 # the hub through a seeded ChaosProxy (injected latency, byte corruption,
 # mid-stream closes, and one transient partition), then pushes more
 # concurrent jobs at the service than admission control will hold while a
@@ -32,11 +32,11 @@ fi
 
 TAXA=16
 SITES=400
-SIZE=6
+SIZE=5
 JOBS=13           # capacity is max_active=2 + max_queued=8, so >=3 shed
 MAX_ACTIVE=2
 MAX_QUEUED=8
-VICTIM_RANK=4     # a worker (ranks 3+ are workers)
+VICTIM_RANK=3     # a worker (ranks 2+ are workers)
 TELEMETRY_MS=250  # per-rank metric shipping period (stale after 2x this)
 HUB_PORT=$((20000 + RANDOM % 10000))
 PROXY_PORT=$((HUB_PORT + 10000))
@@ -148,7 +148,7 @@ sleep 2
 "$FDMLD" --mode=scrape --service-port=$SVC_PORT \
     --out="$WORKDIR/scrape1.prom" || fail "mid-soak scrape 1"
 python3 scripts/check_metrics.py "$WORKDIR/scrape1.prom" \
-    --require-worker-ranks 3,4,5 \
+    --require-worker-ranks 2,3,4 \
     || fail "scrape 1 rejected by check_metrics.py"
 
 # --- fault drills while the jobs run -------------------------------------

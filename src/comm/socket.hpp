@@ -39,7 +39,7 @@ namespace fdml {
 struct SocketOptions {
   /// This process's rank (0 = hub/master; see protocol.hpp rank layout).
   int rank = 0;
-  /// Total ranks in the fabric (master + foreman + monitor + workers).
+  /// Total ranks in the fabric (master + foreman + workers).
   int size = 0;
   /// Hub address peers connect to. The hub itself binds all interfaces.
   std::string host = "127.0.0.1";

@@ -13,7 +13,7 @@
 namespace fdml {
 
 /// One endpoint of a message fabric. Ranks follow the paper's layout:
-/// 0 = master, 1 = foreman, 2 = monitor, 3.. = workers.
+/// 0 = master, 1 = foreman, 2.. = workers.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -49,11 +49,6 @@ InProcessCluster::InProcessCluster(const PatternAlignment& data,
 
   // Foreman thread.
   spawn_foreman(options_.foreman, /*with_chaos=*/true);
-  // Monitor thread.
-  threads_.emplace_back([this] {
-    auto endpoint = fabric_.endpoint(kMonitorRank);
-    monitor_main(*endpoint);
-  });
   // Worker threads.
   for (int w = 0; w < options_.num_workers; ++w) {
     const int rank = kFirstWorkerRank + w;
@@ -120,11 +115,10 @@ void InProcessCluster::shutdown() {
   if (foreman_thread_.joinable()) foreman_thread_.join();
   if (foreman_crashed_.load(std::memory_order_acquire)) {
     // A crashed foreman never forwarded the shutdown; without this the
-    // worker and monitor threads would block in recv forever.
+    // worker threads would block in recv forever.
     for (int w = 0; w < options_.num_workers; ++w) {
       master_endpoint_->send(kFirstWorkerRank + w, MessageTag::kShutdown, {});
     }
-    master_endpoint_->send(kMonitorRank, MessageTag::kShutdown, {});
   }
   for (auto& thread : threads_) thread.join();
   fabric_.close();

@@ -1,5 +1,5 @@
-// InProcessCluster: stands up the paper's full process layout — master
-// (the calling thread), foreman, monitor and N workers — over the
+// InProcessCluster: stands up the paper's process layout — master (the
+// calling thread), foreman and N workers — over the
 // in-process thread fabric, and exposes the master side as a TaskRunner so
 // StepwiseSearch runs unchanged on top of it. This is the substitution for
 // the paper's MPI runs on the RS/6000 SP: the identical protocol executes
@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
-#include "parallel/monitor.hpp"
 #include "parallel/worker.hpp"
 #include "search/runner.hpp"
 

@@ -474,7 +474,7 @@ class Foreman {
     counters_.corrupt_messages.add();
     obs::instant("foreman", "corrupt", "worker", sender);
     FDML_WARN("foreman") << "malformed payload from rank " << sender;
-    if (sender < kFirstWorkerRank) return;  // master/monitor: count only
+    if (sender < kFirstWorkerRank) return;  // master: count only
     if (auto it = in_flight_.find(sender); it != in_flight_.end()) {
       requeue_record(it, "sent a corrupt payload");
     }
@@ -861,9 +861,6 @@ class Foreman {
   void broadcast_shutdown() {
     for (int rank = kFirstWorkerRank; rank < transport_.size(); ++rank) {
       transport_.send(rank, MessageTag::kShutdown, {});
-    }
-    if (transport_.size() > kMonitorRank) {
-      transport_.send(kMonitorRank, MessageTag::kShutdown, {});
     }
   }
 

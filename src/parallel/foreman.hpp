@@ -153,7 +153,7 @@ struct ForemanStats {
 };
 
 /// Runs the foreman loop until a shutdown message arrives (which is
-/// forwarded to every worker and the monitor rank). Returns the final
+/// forwarded to every worker). Returns the final
 /// counters. Every closed round is also observed into the registry's
 /// `foreman.round_s` and `foreman.round_slack_s` histograms (seconds).
 ForemanStats foreman_main(Transport& transport, const ForemanOptions& options);

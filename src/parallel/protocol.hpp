@@ -11,15 +11,12 @@
 namespace fdml {
 
 /// Fixed rank layout (paper Figure 2): master generates and compares trees,
-/// foreman owns the work/ready queues, workers optimize. Rank 2 is the
-/// paper's monitor slot; it only waits for shutdown, since the foreman's
-/// metrics registry and trace instants carry the instrumentation. "The
-/// fully instrumented parallel version of fastDNAml requires a minimum of
-/// four processors."
+/// foreman owns the work/ready queues, workers optimize. The paper's
+/// optional monitor module has no rank: the foreman's metrics registry and
+/// trace instants carry its instrumentation.
 inline constexpr int kMasterRank = 0;
 inline constexpr int kForemanRank = 1;
-inline constexpr int kMonitorRank = 2;
-inline constexpr int kFirstWorkerRank = 3;
+inline constexpr int kFirstWorkerRank = 2;
 
 /// master -> foreman: one round of candidate trees.
 struct RoundMessage {

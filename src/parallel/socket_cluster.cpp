@@ -20,7 +20,7 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
   }
   if (options.socket.size < kFirstWorkerRank + 1) {
     throw std::invalid_argument(
-        "run_socket_role: fabric needs master+foreman+monitor+>=1 worker");
+        "run_socket_role: fabric needs master+foreman+>=1 worker");
   }
   SocketFabric fabric(options.socket);
   std::unique_ptr<Transport> endpoint = fabric.endpoint();
@@ -30,8 +30,6 @@ SocketRoleResult run_socket_role(const PatternAlignment& data,
     ForemanOptions foreman = options.foreman;
     foreman.telemetry_interval = options.telemetry_interval;
     result.foreman = foreman_main(*endpoint, foreman);
-  } else if (rank == kMonitorRank) {
-    monitor_main(*endpoint);
   } else {
     WorkerRunOptions worker;
     worker.optimize = options.optimize;
@@ -64,7 +62,7 @@ SocketCluster::SocketCluster(const PatternAlignment& data, SubstModel model,
       }()) {
   if (options_.socket.size < kFirstWorkerRank + 1) {
     throw std::invalid_argument(
-        "SocketCluster: fabric needs master+foreman+monitor+>=1 worker");
+        "SocketCluster: fabric needs master+foreman+>=1 worker");
   }
   obs::set_thread_name("master");
   endpoint_ = fabric_.endpoint();
@@ -110,7 +108,7 @@ void SocketCluster::shutdown() {
   shut_down_ = true;
   fabric_.expect_departures();  // disconnects from here on are orderly
   endpoint_->send(kForemanRank, MessageTag::kShutdown, {});
-  // The foreman fans the shutdown out to workers and monitor *through this
+  // The foreman fans the shutdown out to the workers *through this
   // hub*, so keep routing until the peers have actually left (a dead
   // foreman cannot forward it; the grace period bounds that case and the
   // peers then exit on the hub's EOF instead).

@@ -6,8 +6,7 @@
 //
 //   rank 0  master   (SocketCluster: fabric hub + ParallelMaster + search)
 //   rank 1  foreman  (run_socket_role -> foreman_main)
-//   rank 2  monitor  (run_socket_role -> monitor_main)
-//   rank 3+ workers  (run_socket_role -> worker_main)
+//   rank 2+ workers  (run_socket_role -> worker_main)
 //
 // scripts/launch_cluster.sh stands up all ranks of a run and is what the
 // multiprocess CI job drives.
@@ -21,7 +20,6 @@
 #include "obs/telemetry.hpp"
 #include "parallel/foreman.hpp"
 #include "parallel/master.hpp"
-#include "parallel/monitor.hpp"
 #include "parallel/worker.hpp"
 #include "search/runner.hpp"
 
@@ -40,7 +38,6 @@ struct SocketRunOptions {
 
 /// What a non-master rank's role loop produced (only the member matching
 /// the rank is meaningful; the app prints it as the process's exit summary).
-/// The monitor rank produces nothing.
 struct SocketRoleResult {
   int rank = -1;
   std::optional<ForemanStats> foreman;

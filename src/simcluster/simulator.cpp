@@ -13,10 +13,10 @@ namespace {
 
 // Virtual tids mirror the live rank layout (comm/transport.hpp) so a
 // simulated trace and a live trace read identically in the viewer and in
-// trace_report: 0 = master, 1 = foreman, 2 = monitor, 3.. = workers.
+// trace_report: 0 = master, 1 = foreman, 2.. = workers.
 constexpr int kSimMasterTid = 0;
 constexpr int kSimForemanTid = 1;
-constexpr int kSimFirstWorkerTid = 3;
+constexpr int kSimFirstWorkerTid = 2;
 
 constexpr double kSecondsToNs = 1e9;
 
@@ -152,7 +152,8 @@ void check_layout(const SimClusterConfig& config) {
   if (config.processors != 1 && config.processors < 4) {
     throw std::invalid_argument(
         "simulate_trace: the instrumented parallel layout needs >= 4 "
-        "processors (master, foreman, monitor + workers); use 1 for serial");
+        "processors (the paper's master, foreman, monitor + workers); use 1 "
+        "for serial");
   }
 }
 

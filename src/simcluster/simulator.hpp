@@ -10,6 +10,12 @@
 // why 4 processors are *slower* than the serial build). Rounds are
 // barriers; the slack between the first and last completion of a round is
 // the paper's "loose synchronization".
+//
+// The live runtime has no monitor rank (its instrumentation lives in the
+// foreman's metrics registry), but the replay keeps the SP machine's
+// P-3 accounting: the Figure 3/4 shape claims are statements about that
+// machine, where the monitor occupied a CPU. Virtual tids follow the live
+// rank layout, so simulated and live traces name the same threads.
 #pragma once
 
 #include <vector>

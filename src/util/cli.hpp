@@ -1,5 +1,8 @@
 // Tiny command-line option parser for the example and bench executables.
-// Accepts --key=value, --key value, and --flag forms.
+// Accepts --key=value, --key value, and --flag forms. The numeric getters
+// throw std::invalid_argument naming the flag when a value is empty, has
+// trailing characters or overflows; the programs report that as a usage
+// error.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,9 @@ class CliArgs {
 
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// As above, and also throws when the value lies outside [min, max].
+  std::int64_t get_int(const std::string& key, std::int64_t fallback,
+                       std::int64_t min, std::int64_t max) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

@@ -234,7 +234,7 @@ std::optional<RoundDoneMessage> await_round_done(Transport& master,
 // run). Now it is counted, the sender is quarantined into probation, and
 // the task still completes through the probe.
 TEST(ForemanChaos, CorruptResultIsCountedAndSenderQuarantined) {
-  ThreadFabric fabric(4);
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.worker_timeout = milliseconds(3000);
   options.probation_backoff = milliseconds(20);
@@ -278,7 +278,7 @@ TEST(ForemanChaos, CorruptResultIsCountedAndSenderQuarantined) {
 // Full worker lifecycle: healthy -> delinquent (timeout) -> probation (late
 // reply) -> probe -> healthy again, with each transition visible in stats.
 TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
-  ThreadFabric fabric(4);
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.worker_timeout = milliseconds(150);
   options.probation_backoff = milliseconds(20);
@@ -329,7 +329,7 @@ TEST(ForemanChaos, DelinquentProbationReinstatementLifecycle) {
 // A worker that NACKs a malformed task gets the task requeued without
 // waiting out the deadline and without losing its healthy status.
 TEST(ForemanChaos, NackRequeuesTaskImmediately) {
-  ThreadFabric fabric(4);
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.worker_timeout = milliseconds(5000);  // a timeout would dominate the test
   auto foreman_endpoint = fabric.endpoint(kForemanRank);
@@ -360,7 +360,7 @@ TEST(ForemanChaos, NackRequeuesTaskImmediately) {
 // With every known worker delinquent and work outstanding, the foreman
 // reports kRoundFailed instead of letting the master wait forever.
 TEST(ForemanChaos, AllWorkersDeadFailsTheRound) {
-  ThreadFabric fabric(4);
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.worker_timeout = milliseconds(100);
   auto foreman_endpoint = fabric.endpoint(kForemanRank);

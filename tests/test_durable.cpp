@@ -592,7 +592,7 @@ bool script_await_ping(Transport& worker, milliseconds timeout) {
 // task to a worker.
 TEST(ForemanJournal, RevivedForemanReplaysInsteadOfRedispatching) {
   ScratchDir dir("replay");
-  ThreadFabric fabric(4);
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.journal_path = dir.file("tasks.journal");
 

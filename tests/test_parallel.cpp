@@ -1,5 +1,5 @@
 // Tests for the message fabric, the protocol codecs, and the full
-// master/foreman/worker/monitor runtime — including the paper's timeout
+// master/foreman/worker runtime — including the paper's timeout
 // fault tolerance (requeue, delinquency, reinstatement).
 #include <gtest/gtest.h>
 
@@ -177,7 +177,7 @@ std::optional<RoundDoneMessage> recv_round_done(
 // in-flight record and silently losing a task. The test scripts a single
 // worker against a live foreman and asserts exactly-once dispatch.
 TEST(Foreman, StaleResultDoesNotDoubleBookWorker) {
-  ThreadFabric fabric(4);  // master, foreman, monitor, one worker
+  ThreadFabric fabric(3);  // master, foreman, one worker
   ForemanOptions options;
   options.worker_timeout = std::chrono::milliseconds(400);
   auto foreman_endpoint = fabric.endpoint(kForemanRank);

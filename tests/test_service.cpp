@@ -346,7 +346,7 @@ TEST(ChaosProxySoak, SearchSurvivesLatencyCorruptionAndMidStreamCloses) {
   const SearchResult reference =
       StepwiseSearch(data, search_options).run(serial);
 
-  constexpr int kSize = 5;  // master + foreman + monitor + 2 workers
+  constexpr int kSize = 4;  // master + foreman + 2 workers
   const std::uint16_t hub_port = pick_free_port();
   SocketRunOptions options;
   options.socket = chaos_fabric_options(0, kSize, hub_port);
@@ -413,7 +413,7 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
   const SearchResult reference =
       StepwiseSearch(data, search_options).run(serial);
 
-  constexpr int kSize = 5;  // master + foreman + monitor + workers 3, 4
+  constexpr int kSize = 4;  // master + foreman + workers 2, 3
   const std::uint16_t hub_port = pick_free_port();
 
   SocketRunOptions options;
@@ -444,7 +444,7 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
 
   SocketCluster cluster(data, model, rates, options);
 
-  // Worker 4 goes through a proxy so its "kill" is an abrupt sever; with
+  // Worker 3 goes through a proxy so its "kill" is an abrupt sever; with
   // reconnect off its mailbox closes and the role loop exits — the
   // in-process stand-in for the process dying.
   ChaosProxyOptions proxy_options;
@@ -453,7 +453,7 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
 
   SocketRoleResult foreman_result;
   std::vector<std::thread> roles;
-  for (const int rank : {1, 2, 3}) {
+  for (const int rank : {1, 2}) {
     roles.emplace_back([&, rank] {
       SocketRunOptions role_options = options;
       role_options.socket.rank = rank;
@@ -466,7 +466,7 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
   }
   std::thread victim([&] {
     SocketRunOptions role_options = options;
-    role_options.socket.rank = 4;
+    role_options.socket.rank = 3;
     role_options.socket.port = proxy.port();
     try {
       run_socket_role(data, model, rates, role_options);
@@ -486,8 +486,8 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
     });
   });
 
-  // Kill worker 4 once its link has carried tasks and results (only worker
-  // 4 dials through the proxy), so the foreman knows it as a busy worker,
+  // Kill worker 3 once its link has carried tasks and results (only worker
+  // 3 dials through the proxy), so the foreman knows it as a busy worker,
   // then restart it with the same rank. The restart waits until the foreman
   // has marked the dead worker delinquent: its in-flight task timed out, or
   // the next task sent to the dead route did. A replacement that rejoined
@@ -500,7 +500,7 @@ TEST(WorkerReadmission, KilledWorkerRestartedWithSameRankIsReinstated) {
   EXPECT_TRUE(wait_until([&] { return delinquencies() > delinquent_before; }));
   std::thread replacement([&] {
     SocketRunOptions role_options = options;
-    role_options.socket.rank = 4;  // same rank, fresh connection to the hub
+    role_options.socket.rank = 3;  // same rank, fresh connection to the hub
     try {
       run_socket_role(data, model, rates, role_options);
     } catch (const std::exception&) {

@@ -526,10 +526,10 @@ TEST(SocketCluster, SearchMatchesSerialBitForBit) {
 
   const std::uint16_t port = pick_free_port();
   SocketRunOptions options;
-  options.socket = fabric_options(0, 5, port);  // master+foreman+monitor+2w
+  options.socket = fabric_options(0, 4, port);  // master+foreman+2 workers
 
   std::vector<std::thread> roles;
-  for (int rank = 1; rank < 5; ++rank) {
+  for (int rank = 1; rank < 4; ++rank) {
     roles.emplace_back([&, rank] {
       SocketRunOptions role_options = options;
       role_options.socket.rank = rank;

@@ -411,6 +411,39 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
 }
 
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog",          "--workers=four", "--port=70000",
+                        "--big=99999999999999999999",      "--empty=",
+                        "--tstv=2.0x",   "--alpha=1e999",  "--procs=4,x,16",
+                        "--bare",        "--ok=12"};
+  const CliArgs args(10, argv);
+  const auto error = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  EXPECT_EQ(error([&] { args.get_int("workers", 1); }),
+            "--workers=four: not an integer");
+  EXPECT_EQ(error([&] { args.get_int("port", 0, 0, 65535); }),
+            "--port=70000: must be in 0..65535");
+  EXPECT_EQ(error([&] { args.get_int("big", 0); }),
+            "--big=99999999999999999999: integer out of range");
+  EXPECT_EQ(error([&] { args.get_int("empty", 3); }), "--empty=: not an integer");
+  EXPECT_EQ(error([&] { args.get_int("bare", 3); }), "--bare=true: not an integer");
+  EXPECT_EQ(error([&] { args.get_double("tstv", 2.0); }), "--tstv=2.0x: not a number");
+  EXPECT_EQ(error([&] { args.get_double("alpha", 1.0); }),
+            "--alpha=1e999: number out of range");
+  EXPECT_EQ(error([&] { args.get_int_list("procs", {}); }),
+            "--procs=4,x,16: not an integer");
+  EXPECT_EQ(error([&] { args.get_int_list("empty", {}); }),
+            "--empty=: not an integer list");
+  EXPECT_EQ(args.get_int("ok", 0, 0, 100), 12);
+  EXPECT_EQ(args.get_int("absent", 7, 0, 100), 7);
+}
+
 TEST(Cli, FlagConsumesFollowingValueToken) {
   const char* argv[] = {"prog", "--mode", "fast", "--flag"};
   CliArgs args(4, argv);
